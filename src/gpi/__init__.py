@@ -28,7 +28,6 @@ from .groups import (
     TableGroup,
     recognize_small,
     semidirect_product,
-    subgroup_generated,
 )
 from .partialpi import (
     FactorCheck,
@@ -124,7 +123,6 @@ __all__ = [
     "socle",
     "StructureFingerprint",
     "Subgroup",
-    "subgroup_generated",
     "sylow_subgroup",
     "TableGroup",
     "THEOREM_IDS",

@@ -200,6 +200,15 @@ def build_group(name: str, fresh: bool = False) -> FiniteGroup:
     return got
 
 
+def _cycle_lists(gens, what: str) -> list:
+    """Check that JSON generators are lists of cycles, each a list of points."""
+    if not isinstance(gens, list) or not all(
+        isinstance(g, list) and all(isinstance(c, list) for c in g) for g in gens
+    ):
+        raise ValueError(f"{what} must be a list of generators, each a list of cycles")
+    return gens
+
+
 def from_description(desc) -> FiniteGroup:
     """Build a group from a catalog name or a JSON description.
 
@@ -217,16 +226,19 @@ def from_description(desc) -> FiniteGroup:
         return build_group(desc["name"])
     if kind == "perm":
         degree = desc["degree"]
-        gens = [cyc(degree, [tuple(c) for c in g]) for g in desc["generators"]]
+        if type(degree) is not int or degree < 1:
+            raise ValueError(f"degree must be a positive integer, got {degree!r}")
+        gens = [cyc(degree, g) for g in _cycle_lists(desc["generators"], "generators")]
         return PermGroup(gens, degree=degree, name=desc.get("name", f"perm{degree}"))
     if kind == "semidirect":
         N = from_description(desc["normal"])
         Q = from_description(desc["quotient"])
         if not isinstance(N, PermGroup):
             raise ValueError("semidirect descriptions act on a permutation-backed normal part")
-        action = [
-            [cyc(N.degree, [tuple(c) for c in img]) for img in row]
-            for row in desc["action"]
-        ]
+        action = desc["action"]
+        if not isinstance(action, list):
+            raise ValueError("action must be a list of rows, one per quotient generator")
+        action = [[cyc(N.degree, img) for img in _cycle_lists(row, "action rows")]
+                  for row in action]
         return semidirect_product(N, Q, action, name=desc.get("name", f"{N.name}:{Q.name}"))
     raise ValueError(f"unknown group description type {kind!r}")

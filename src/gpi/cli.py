@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .arith import is_prime, prime_set
 from .catalog import corpus_names, from_description, group_names
-from .groups import FiniteGroup, LimitExceeded, PermGroup, Subgroup, subgroup_generated
+from .groups import FiniteGroup, LimitExceeded, PermGroup, Subgroup
 from .partialpi import satisfies_partial_pi
 from .perm import Perm
 from .series import (
@@ -69,18 +69,20 @@ def _subgroup_from_json(G: FiniteGroup, data) -> Subgroup:
     """Generators as element ids, or as cycle lists in a permutation group."""
     if not isinstance(data, list):
         raise ValueError("subgroup generators must be a JSON list")
-    if all(isinstance(x, int) for x in data):
+    # JSON true/false arrive as bools, which Python counts as ints.
+    if all(type(x) is int for x in data):
         for x in data:
             if not 0 <= x < G.n:
                 raise ValueError(f"element id {x} outside 0..{G.n - 1}")
-        return subgroup_generated(G, data)
+        return G.generated(data)
     if not isinstance(G, PermGroup):
         raise ValueError("cycle-list generators need a permutation group")
     ids = []
     for cycles in data:
-        perm = Perm.from_cycles(G.degree, [tuple(c) for c in cycles])
-        ids.append(G.id_of_perm(perm))
-    return subgroup_generated(G, ids)
+        if not isinstance(cycles, list) or not all(isinstance(c, list) for c in cycles):
+            raise ValueError(f"generator {cycles!r} is neither an element id nor a list of cycles")
+        ids.append(G.id_of_perm(Perm.from_cycles(G.degree, cycles)))
+    return G.generated(ids)
 
 
 def _family(G: FiniteGroup, p: int, tag: str) -> list[Subgroup]:

@@ -5,8 +5,7 @@ A chief factor M/K is central for a formation when the semidirect
 product of M/K by G/C_G(M/K) lies in the formation.  The fast test
 below never builds that product: the factor is minimal normal in it, so
 membership splits into a condition on |M/K| and one on G/C_G(M/K).
-`is_factor_central_literal` performs the construction anyway and is
-pinned against the fast test in the suite.
+The test suite pins it against a literal construction of that product.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_prime
-from .groups import FiniteGroup, LimitExceeded, Subgroup, quotient, semidirect_product
+from .groups import FiniteGroup, Subgroup, memo, quotient
 from .series import is_p_supersoluble, is_supersoluble, minimal_normal_overgroups
 from .structure import factor_centralizer
 
@@ -73,51 +72,7 @@ def is_factor_central(G: FiniteGroup, K: Subgroup, M: Subgroup, f: Formation) ->
     return is_p_supersoluble(Q, p)
 
 
-def is_factor_central_literal(
-    G: FiniteGroup, K: Subgroup, M: Subgroup, f: Formation, bound: int = 5000
-) -> bool:
-    """The definition verbatim: build (M/K) acted on by G/C_G(M/K) and
-    test membership.  Exists to pin `is_factor_central`."""
-    if M not in minimal_normal_overgroups(G, K):
-        raise ValueError("the pair is not a chief factor")
-    C = factor_centralizer(G, M, K)
-    if K.is_trivial:
-        V, vmap = M.as_group()
-        back = sorted(M.ids)
-
-        def to_v(a: int) -> int:
-            return vmap[a]
-
-        def to_ambient(i: int) -> int:
-            return back[i]
-
-    else:
-        Q1, pr1 = quotient(G, K)
-        vsub = pr1.image(M)
-        V, vmap = vsub.as_group()
-        back = sorted(vsub.ids)
-
-        def to_v(a: int) -> int:
-            return vmap[pr1(a)]
-
-        def to_ambient(i: int) -> int:
-            return pr1.reps[Q1.act(back[i], 0)]
-
-    if C.is_full:
-        return f.contains(V)
-    size = V.n * (G.n // C.order)
-    if size > bound:
-        raise LimitExceeded(f"literal centrality product has order {size} > {bound}")
-    Q2, pr2 = quotient(G, C)
-    vgens_ambient = [to_ambient(i) for i in V.generator_ids]
-    rows = []
-    for w in Q2.generator_ids:
-        g_inv = G.inv(pr2.reps[Q2.act(w, 0)])
-        rows.append([to_v(G.conj(a, g_inv)) for a in vgens_ambient])
-    S = semidirect_product(V, Q2, rows, name=f"({M.order}/{K.order}):{Q2.n}")
-    return f.contains(S)
-
-
+@memo
 def f_hypercenter(G: FiniteGroup, f: Formation, tie_reverse: bool = False) -> Subgroup:
     """The largest normal subgroup all of whose chief factors are
     f-central, reached by climbing central steps greedily.
@@ -127,11 +82,6 @@ def f_hypercenter(G: FiniteGroup, f: Formation, tie_reverse: bool = False) -> Su
     cannot stall early or overshoot; `tie_reverse` only reorders the
     climb and must not change the result.
     """
-    G.materialize()
-    key = ("fhyper", f, tie_reverse)
-    got = G.cache.get(key)
-    if got is not None:
-        return got
     Z = G.trivial_subgroup()
     climbing = True
     while climbing:
@@ -142,5 +92,4 @@ def f_hypercenter(G: FiniteGroup, f: Formation, tie_reverse: bool = False) -> Su
                 Z = M
                 climbing = True
                 break
-    G.cache[key] = Z
     return Z

@@ -11,6 +11,8 @@ algorithms in the package are written once against that face.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -36,6 +38,41 @@ class LimitExceeded(RuntimeError):
     """The computation would overrun a configured desk-scale ceiling."""
 
 
+def memo(fn):
+    """Remember each result on the group that owns the call.
+
+    The owner is the first argument, or its ambient group when that is a
+    `Subgroup`.  Results live in `owner.memo[fn.__qualname__]`, keyed by the
+    other arguments with defaults applied; a `Subgroup` first argument stays
+    in the key.  A stored list is handed out as a shallow copy, so callers
+    may mutate what they get.
+    """
+    sig = inspect.signature(fn)
+    defaults = tuple(p.default for p in sig.parameters.values())
+    name = fn.__qualname__
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if kwargs:
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            full = bound.args
+        else:
+            full = args + defaults[len(args):]
+        if isinstance(full[0], Subgroup):
+            owner, key = full[0].group, full
+        else:
+            owner, key = full[0], full[1:]
+        table = owner.memo.setdefault(name, {})
+        try:
+            got = table[key]
+        except KeyError:
+            got = table[key] = fn(*args, **kwargs)
+        return list(got) if type(got) is list else got
+
+    return wrapper
+
+
 class FiniteGroup:
     """Common face of all backends.
 
@@ -47,12 +84,10 @@ class FiniteGroup:
     def __init__(self, limits: Limits | None = None, name: str = ""):
         self.limits = limits or DEFAULT_LIMITS
         self.name = name
-        self.cache: dict = {}
+        self.memo: dict[str, dict] = {}
         self._n: int | None = None
         self._gen_ids: list[int] | None = None
         self._orders: dict[int, int] = {}
-        self._reduced: list[int] | None = None
-        self._parent_tree: tuple[list[int], dict] | None = None
 
     # -- subclass contract -------------------------------------------------
 
@@ -114,43 +149,39 @@ class FiniteGroup:
             self._orders[a] = got
         return got
 
+    @memo
     def reduced_generator_ids(self) -> list[int]:
         """A greedily pruned generating subset; orbit loops run faster on it."""
-        if self._reduced is None:
-            gens = [g for g in self.generator_ids if g != 0]
-            keep = list(dict.fromkeys(gens))
-            for g in list(keep):
-                if len(keep) == 1:
-                    break
-                rest = [h for h in keep if h != g]
-                if len(closure_ids(self, rest)) == self.n:
-                    keep = rest
-            self._reduced = keep
-        return list(self._reduced)
+        keep = list(dict.fromkeys(g for g in self.generator_ids if g != 0))
+        for g in list(keep):
+            if len(keep) == 1:
+                break
+            rest = [h for h in keep if h != g]
+            if len(closure_ids(self, rest)) == self.n:
+                keep = rest
+        return keep
 
+    @memo
     def conjugacy_class_reps(self) -> list[int]:
-        got = self.cache.get("class_reps")
-        if got is None:
-            gens = self.reduced_generator_ids()
-            seen = bytearray(self.n)
-            got = []
-            for a in range(self.n):
-                if seen[a]:
-                    continue
-                got.append(a)
-                seen[a] = 1
-                frontier = [a]
-                while frontier:
-                    nxt = []
-                    for x in frontier:
-                        for g in gens:
-                            y = self.conj(x, g)
-                            if not seen[y]:
-                                seen[y] = 1
-                                nxt.append(y)
-                    frontier = nxt
-            self.cache["class_reps"] = got
-        return list(got)
+        gens = self.reduced_generator_ids()
+        seen = bytearray(self.n)
+        reps = []
+        for a in range(self.n):
+            if seen[a]:
+                continue
+            reps.append(a)
+            seen[a] = 1
+            frontier = [a]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for g in gens:
+                        y = self.conj(x, g)
+                        if not seen[y]:
+                            seen[y] = 1
+                            nxt.append(y)
+                frontier = nxt
+        return reps
 
     def is_abelian(self) -> bool:
         gens = self.generator_ids
@@ -161,32 +192,31 @@ class FiniteGroup:
     def exponent(self) -> int:
         return math.lcm(*(self.element_order(a) for a in range(self.n)), 1)
 
+    @memo
     def parent_tree(self) -> tuple[list[int], dict[int, tuple[int, int]]]:
         """BFS discovery order and parent links (parent id, generator index).
 
         Used to extend generator-defined homomorphisms over the whole group.
         """
-        if self._parent_tree is None:
-            gens = self.generator_ids
-            parents: dict[int, tuple[int, int]] = {}
-            seen = {0}
-            order_out = [0]
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for gi, g in enumerate(gens):
-                        b = self.mul(a, g)
-                        if b not in seen:
-                            seen.add(b)
-                            parents[b] = (a, gi)
-                            order_out.append(b)
-                            nxt.append(b)
-                frontier = nxt
-            if len(seen) != self.n:
-                raise ValueError("stored generators do not generate the group")
-            self._parent_tree = (order_out, parents)
-        return self._parent_tree
+        gens = self.generator_ids
+        parents: dict[int, tuple[int, int]] = {}
+        seen = {0}
+        order_out = [0]
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for gi, g in enumerate(gens):
+                    b = self.mul(a, g)
+                    if b not in seen:
+                        seen.add(b)
+                        parents[b] = (a, gi)
+                        order_out.append(b)
+                        nxt.append(b)
+            frontier = nxt
+        if len(seen) != self.n:
+            raise ValueError("stored generators do not generate the group")
+        return order_out, parents
 
     # -- subgroup constructors ------------------------------------------------
 
@@ -336,9 +366,7 @@ class Subgroup:
             gens=[self.group.conj(x, g) for x in self.gens],
         )
 
-    def element_orders(self):
-        return sorted(self.group.element_order(a) for a in self.ids)
-
+    @memo
     def as_group(self) -> tuple["TableGroup", dict[int, int]]:
         """Re-root as a standalone group; also returns the ambient->new id map.
 
@@ -346,9 +374,6 @@ class Subgroup:
         by construction regardless of backend.
         """
         amb = self.group
-        got = amb.cache.get(("asgroup", self.ids))
-        if got is not None:
-            return got
         domain = sorted(self.ids)
         to_new = {a: i for i, a in enumerate(domain)}
         sub = TableGroup(
@@ -360,7 +385,6 @@ class Subgroup:
             limits=amb.limits,
             name=f"{amb.name}|{len(domain)}" if amb.name else f"sub{len(domain)}",
         )
-        amb.cache[("asgroup", self.ids)] = (sub, to_new)
         return sub, to_new
 
     def __eq__(self, other) -> bool:
@@ -376,11 +400,6 @@ class Subgroup:
         if len(self.gens) > 4:
             gens += ", ..."
         return f"<subgroup order={self.order} gens=[{gens}]>"
-
-
-def subgroup_generated(G: FiniteGroup, elems) -> Subgroup:
-    """Subgroup generated by element ids of G."""
-    return G.generated(elems)
 
 
 # -- permutation backend --------------------------------------------------------
@@ -541,16 +560,6 @@ class TableGroup(FiniteGroup):
     def inv(self, a: int) -> int:
         return self._ids[self._inv_fn(self._domain[a])]
 
-    def raw(self, a: int):
-        return self._domain[a]
-
-    def id_of(self, x) -> int:
-        self.materialize()
-        got = self._ids.get(x)
-        if got is None:
-            raise ValueError(f"{x!r} is not in the domain")
-        return got
-
     def label(self, a: int) -> str:
         if self._label_fn is not None:
             return self._label_fn(self._domain[a])
@@ -677,14 +686,6 @@ class SemidirectGroup(FiniteGroup):
     def label(self, a: int) -> str:
         n, q = divmod(a, self._qn)
         return f"({self.N.label(n)}; {self.Q.label(q)})"
-
-    def normal_part(self) -> Subgroup:
-        qn = self._qn
-        return Subgroup(
-            self,
-            (i * qn for i in range(self.N.n)),
-            gens=[g * qn for g in self.N.generator_ids],
-        )
 
     def encode(self, n_id: int, q_id: int) -> int:
         return n_id * self._qn + q_id

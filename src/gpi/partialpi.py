@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arith import is_pi_number, prime_set
-from .groups import FiniteGroup, Subgroup, is_normal, product_ids
+from .groups import FiniteGroup, Subgroup, is_normal, memo, product_ids
 from .series import ChiefSeries, minimal_normal_overgroups
 from .structure import normalizer_index
 
@@ -137,29 +137,21 @@ def _describe(H: Subgroup) -> dict:
     }
 
 
-def satisfies_partial_pi(G: FiniteGroup, H: Subgroup, reverse: bool = False):
-    """Decide the property for H in G.
+def _search(G: FiniteGroup, H: Subgroup, keep, reverse: bool = False):
+    """Depth-first search for a passing chief series of G.
 
-    Depth-first search over the chief series tree, one minimal normal
-    overgroup at a time.  Terms from which no passing completion exists
-    are memoised, so each is expanded once.  `reverse` flips the
-    successor order; the verdict must not depend on it.
+    Steps from a term K go to the minimal normal overgroups M with
+    `keep(K, M)`, one at a time.  Terms from which no passing completion
+    exists are memoised, so each is expanded once.  Returns the witness,
+    or None, and the checks of every dead term.
     """
-    G.materialize()
-    if H.group is not G:
-        raise ValueError("subgroup belongs to a different group")
-    key = ("pi", H.ids, reverse)
-    got = G.cache.get(key)
-    if got is not None:
-        return got
-
     dead: dict[frozenset[int], list[FactorCheck]] = {}
 
     def explore(state: Subgroup, terms: list[Subgroup], checks: list[FactorCheck]):
         if state.is_full:
             return PiWitness(G, H, terms, checks)
         seen: list[FactorCheck] = []
-        succ = minimal_normal_overgroups(G, state)
+        succ = [M for M in minimal_normal_overgroups(G, state) if keep(state, M)]
         for M in reversed(succ) if reverse else succ:
             fc = factor_condition(G, H, state, M)
             seen.append(fc)
@@ -172,12 +164,24 @@ def satisfies_partial_pi(G: FiniteGroup, H: Subgroup, reverse: bool = False):
         return None
 
     trivial = G.trivial_subgroup()
-    found = explore(trivial, [trivial], [])
-    if found is None:
-        states = sorted(dead, key=lambda ids: (len(ids), sorted(ids)))
-        found = PiRefusal(G, H, [(Subgroup(G, ids), dead[ids]) for ids in states])
-    G.cache[key] = found
-    return found
+    return explore(trivial, [trivial], []), dead
+
+
+@memo
+def satisfies_partial_pi(G: FiniteGroup, H: Subgroup, reverse: bool = False):
+    """Decide the property for H in G.
+
+    Depth-first search over the chief series tree, one minimal normal
+    overgroup at a time.  `reverse` flips the successor order; the verdict
+    must not depend on it.
+    """
+    if H.group is not G:
+        raise ValueError("subgroup belongs to a different group")
+    found, dead = _search(G, H, lambda K, M: True, reverse)
+    if found is not None:
+        return found
+    states = sorted(dead, key=lambda ids: (len(ids), sorted(ids)))
+    return PiRefusal(G, H, [(Subgroup(G, ids), dead[ids]) for ids in states])
 
 
 def satisfies_partial_pi_within(G: FiniteGroup, H: Subgroup, N: Subgroup, reverse: bool = False):
@@ -196,29 +200,8 @@ def witness_series_through(G: FiniteGroup, H: Subgroup, N: Subgroup) -> PiWitnes
     are taken; maximal normal chains below N end at N, so any witness
     found here passes through it.
     """
-    G.materialize()
     if not H.ids <= N.ids:
         raise ValueError("subgroup does not lie inside the target term")
     if not is_normal(G, N):
         raise ValueError("target term is not normal")
-
-    dead: set[frozenset[int]] = set()
-
-    def explore(state: Subgroup, terms: list[Subgroup], checks: list[FactorCheck]):
-        if state.is_full:
-            return PiWitness(G, H, terms, checks)
-        succ = minimal_normal_overgroups(G, state)
-        if not N.ids <= state.ids:
-            succ = [M for M in succ if M.ids <= N.ids]
-        for M in succ:
-            fc = factor_condition(G, H, state, M)
-            if not fc.passed or M.ids in dead:
-                continue
-            found = explore(M, terms + [M], checks + [fc])
-            if found is not None:
-                return found
-        dead.add(state.ids)
-        return None
-
-    trivial = G.trivial_subgroup()
-    return explore(trivial, [trivial], [])
+    return _search(G, H, lambda K, M: N.ids <= K.ids or M.ids <= N.ids)[0]

@@ -41,7 +41,7 @@ class Perm:
         for cyc in cycles:
             cyc = list(cyc)
             for pt in cyc:
-                if not isinstance(pt, int) or not 0 <= pt < degree:
+                if type(pt) is not int or not 0 <= pt < degree:  # bools (JSON true) are no points
                     raise ValueError(f"cycle point {pt!r} outside 0..{degree - 1}")
                 if pt in touched:
                     raise ValueError(f"point {pt} appears in two cycles")

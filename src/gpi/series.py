@@ -1,7 +1,7 @@
 """Normal subgroup lattice, chief series, and the predicates built on them.
 
 The lattice is generated from principal normal closures (one per conjugacy
-class) and cached on the group handle, as are the minimal normal overgroups
+class) and memoised on the group handle, as are the minimal normal overgroups
 of each visited subgroup; those are the successor moves of every series walk
 in the package.
 """
@@ -11,23 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import factorize, is_prime, p_part
-from .groups import FiniteGroup, Subgroup, is_normal, product_ids, quotient
+from .groups import FiniteGroup, Subgroup, is_normal, memo, product_ids, quotient
 from .structure import centre, normal_closure
 
 
+@memo
 def principal_normal_closures(G: FiniteGroup) -> list[Subgroup]:
     """Normal closures of single elements, one per conjugacy class, deduped."""
-    got = G.cache.get("principal_closures")
-    if got is None:
-        seen: dict[frozenset, Subgroup] = {}
-        for rep in G.conjugacy_class_reps():
-            if rep == 0:
-                continue
-            P = normal_closure(G, [rep])
-            seen.setdefault(P.ids, P)
-        got = sorted(seen.values(), key=lambda S: (S.order, S.sorted_ids))
-        G.cache["principal_closures"] = got
-    return list(got)
+    seen: dict[frozenset, Subgroup] = {}
+    for rep in G.conjugacy_class_reps():
+        if rep == 0:
+            continue
+        P = normal_closure(G, [rep])
+        seen.setdefault(P.ids, P)
+    return sorted(seen.values(), key=lambda S: (S.order, S.sorted_ids))
 
 
 def _join_normal(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
@@ -39,6 +36,7 @@ def _join_normal(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
     return Subgroup(G, product_ids(G, A.ids, B.ids), gens=A.gens + B.gens)
 
 
+@memo
 def minimal_normal_overgroups(G: FiniteGroup, N: Subgroup) -> list[Subgroup]:
     """Normal subgroups M > N with nothing normal strictly between.
 
@@ -46,22 +44,17 @@ def minimal_normal_overgroups(G: FiniteGroup, N: Subgroup) -> list[Subgroup]:
     so the inclusion-minimal joins N v P over principal closures P are exactly
     the chief steps out of N.
     """
-    table = G.cache.setdefault("min_overgroups", {})
-    key = N.sorted_ids
-    got = table.get(key)
-    if got is None:
-        cand: dict[frozenset, Subgroup] = {}
-        for P in principal_normal_closures(G):
-            if P.ids <= N.ids:
-                continue
-            J = _join_normal(G, N, P)
-            cand.setdefault(J.ids, J)
-        got = []
-        for J in sorted(cand.values(), key=lambda S: (S.order, S.sorted_ids)):
-            if not any(R.ids <= J.ids for R in got):
-                got.append(J)
-        table[key] = got
-    return list(got)
+    cand: dict[frozenset, Subgroup] = {}
+    for P in principal_normal_closures(G):
+        if P.ids <= N.ids:
+            continue
+        J = _join_normal(G, N, P)
+        cand.setdefault(J.ids, J)
+    out: list[Subgroup] = []
+    for J in sorted(cand.values(), key=lambda S: (S.order, S.sorted_ids)):
+        if not any(R.ids <= J.ids for R in out):
+            out.append(J)
+    return out
 
 
 def minimal_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -70,28 +63,25 @@ def minimal_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return minimal_normal_overgroups(G, G.trivial_subgroup())
 
 
+@memo
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """The full normal subgroup lattice, as a join-closure of the principal ones."""
-    got = G.cache.get("normal_lattice")
-    if got is None:
-        triv = G.trivial_subgroup()
-        seen: dict[frozenset, Subgroup] = {triv.ids: triv}
-        frontier = [triv]
-        prins = principal_normal_closures(G)
-        while frontier:
-            nxt = []
-            for N in frontier:
-                for P in prins:
-                    if P.ids <= N.ids:
-                        continue
-                    J = _join_normal(G, N, P)
-                    if J.ids not in seen:
-                        seen[J.ids] = J
-                        nxt.append(J)
-            frontier = nxt
-        got = sorted(seen.values(), key=lambda S: (S.order, S.sorted_ids))
-        G.cache["normal_lattice"] = got
-    return list(got)
+    triv = G.trivial_subgroup()
+    seen: dict[frozenset, Subgroup] = {triv.ids: triv}
+    frontier = [triv]
+    prins = principal_normal_closures(G)
+    while frontier:
+        nxt = []
+        for N in frontier:
+            for P in prins:
+                if P.ids <= N.ids:
+                    continue
+                J = _join_normal(G, N, P)
+                if J.ids not in seen:
+                    seen[J.ids] = J
+                    nxt.append(J)
+        frontier = nxt
+    return sorted(seen.values(), key=lambda S: (S.order, S.sorted_ids))
 
 
 @dataclass
@@ -198,12 +188,14 @@ def fitting_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def socle(G: FiniteGroup) -> Subgroup:
+    """The join of the minimal normal subgroups; trivial for the trivial group."""
     out = G.trivial_subgroup()
-    for M in minimal_normal_subgroups(G):
+    for M in minimal_normal_overgroups(G, out):
         out = _join_normal(G, out, M)
     return out
 
 
+@memo
 def hypercenter(G: FiniteGroup) -> Subgroup:
     """Top of the ascending central series."""
     cur = centre(G)

@@ -71,22 +71,19 @@ def factor_centralizer(G: FiniteGroup, L: Subgroup, K: Subgroup) -> Subgroup:
 def normal_closure(G: FiniteGroup, seed_ids) -> Subgroup:
     """Smallest normal subgroup of G containing the seeds.
 
-    Generators are grown one conjugate at a time, so the closure is recomputed
-    only when the subgroup actually grows.
+    Seeds, then the conjugates of each adjoined generator, are adjoined one
+    at a time and only when they lie outside the current closure, so the
+    closure is recomputed only when the subgroup actually grows.
     """
     gens = G.reduced_generator_ids()
-    hgens = [s for s in dict.fromkeys(seed_ids) if s != 0]
-    H = closure_ids(G, hgens)
-    grew = True
-    while grew:
-        grew = False
-        for x in list(hgens):
-            for g in gens:
-                y = G.conj(x, g)
-                if y not in H:
-                    hgens.append(y)
-                    H = closure_ids(G, hgens)
-                    grew = True
+    hgens: list[int] = []
+    H = frozenset((0,))
+    todo = list(seed_ids)
+    for x in todo:  # grows while it is walked
+        if x not in H:
+            hgens.append(x)
+            H = closure_ids(G, hgens)
+            todo.extend(G.conj(x, g) for g in gens)
     return Subgroup(G, H, gens=hgens)
 
 
@@ -144,15 +141,8 @@ def frattini_subgroup_of_p_subgroup(sub: Subgroup, p: int) -> Subgroup:
         raise ValueError(f"subgroup of order {sub.order} is not a {p}-group")
     G = sub.group
     seeds = {G.commutator(a, b) for a in sub.gens for b in sub.gens}
-    seeds |= {_power(G, x, p) for x in sub.ids}
+    seeds |= {element_power(G, x, p) for x in sub.ids}
     return Subgroup(G, closure_ids(G, seeds), gens=sorted(seeds - {0}))
-
-
-def _power(G: FiniteGroup, a: int, k: int) -> int:
-    out = 0
-    for _ in range(k):
-        out = G.mul(out, a)
-    return out
 
 
 def element_power(G: FiniteGroup, a: int, k: int) -> int:

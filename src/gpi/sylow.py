@@ -10,6 +10,7 @@ from .groups import (
     LimitExceeded,
     Subgroup,
     closure_ids,
+    memo,
     quotient,
     recognize_small,
 )
@@ -24,6 +25,7 @@ def _ambient(X) -> tuple[FiniteGroup, Subgroup]:
     return X, X.full_subgroup()
 
 
+@memo
 def sylow_subgroup(G: FiniteGroup, p: int, within: Subgroup | None = None) -> Subgroup:
     """A Sylow p-subgroup of `within` (default: of G), as a subgroup of G.
 
@@ -32,18 +34,9 @@ def sylow_subgroup(G: FiniteGroup, p: int, within: Subgroup | None = None) -> Su
     p-part lies outside P, and adjoining that p-part keeps the closure
     a p-group.  The scan is in id order, so the result is deterministic.
     """
-    G.materialize()
     if within is None:
         within = G.full_subgroup()
-    key = ("sylow", p, within.ids)
-    got = G.cache.get(key)
-    if got is not None:
-        return got
     target = p_part(within.order, p)
-    if target == 1:
-        P = Subgroup(G, (0,))
-        G.cache[key] = P
-        return P
     scan = sorted(within.ids)
     pgens: list[int] = []
     cur: frozenset[int] = frozenset((0,))
@@ -67,9 +60,7 @@ def sylow_subgroup(G: FiniteGroup, p: int, within: Subgroup | None = None) -> Su
             break
         if not grew:
             raise RuntimeError("Sylow growth stalled; the normalizer step is broken")
-    P = Subgroup(G, cur, gens=pgens)
-    G.cache[key] = P
-    return P
+    return Subgroup(G, cur, gens=pgens)
 
 
 def cyclic_subgroups_of_order(X, k: int) -> list[Subgroup]:
@@ -89,15 +80,12 @@ def cyclic_subgroups_of_order(X, k: int) -> list[Subgroup]:
     return out
 
 
+@memo
 def two_minimal_subgroups(X, p: int) -> list[Subgroup]:
     """The subgroups of order p*p of X: cyclic ones from elements of
     order p*p, elementary ones from commuting pairs of order-p lines.
     """
     G, sub = _ambient(X)
-    key = ("2min", p, sub.ids)
-    got = G.cache.get(key)
-    if got is not None:
-        return got
     seen: set[frozenset[int]] = set()
     out: list[Subgroup] = []
     for H in cyclic_subgroups_of_order(sub, p * p):
@@ -115,7 +103,6 @@ def two_minimal_subgroups(X, p: int) -> list[Subgroup]:
         seen.add(ids)
         out.append(Subgroup(G, ids, gens=[a, b]))
     out.sort(key=lambda s: s.sorted_ids)
-    G.cache[key] = out
     return out
 
 
@@ -162,25 +149,19 @@ def _functionals(d: int, p: int):
         vec[lead] = 0
 
 
+@memo
 def maximal_subgroups_of_p_group(X) -> list[Subgroup]:
     """The maximal subgroups of a p-group: preimages of the hyperplanes
     of its Frattini quotient."""
     G, sub = _ambient(X)
-    key = ("maxes", sub.ids)
-    got = G.cache.get(key)
-    if got is not None:
-        return got
     fac = factorize(sub.order)
     if len(fac) > 1:
         raise ValueError("maximal-subgroup enumeration expects a p-group")
     if sub.order == 1:
-        G.cache[key] = []
         return []
     (p, _), = fac.items()
     if sub.order == p:
-        out = [Subgroup(G, (0,))]
-        G.cache[key] = out
-        return out
+        return [Subgroup(G, (0,))]
     phi = frattini_subgroup_of_p_subgroup(sub, p)
     P2, to_new = sub.as_group()
     back = sorted(sub.ids)
@@ -201,18 +182,14 @@ def maximal_subgroups_of_p_group(X) -> list[Subgroup]:
             inner = lift.preimage(Subgroup(Q, kernel)).ids
         out.append(Subgroup(G, frozenset(back[i] for i in inner)))
     out.sort(key=lambda s: s.sorted_ids)
-    G.cache[key] = out
     return out
 
 
+@memo
 def two_maximal_subgroups_of_p_group(X) -> list[Subgroup]:
     """The subgroups of index p*p in a p-group: maximal subgroups of
     maximal subgroups, deduplicated."""
-    G, sub = _ambient(X)
-    key = ("2max", sub.ids)
-    got = G.cache.get(key)
-    if got is not None:
-        return got
+    sub = _ambient(X)[1]
     seen: set[frozenset[int]] = set()
     out: list[Subgroup] = []
     for M in maximal_subgroups_of_p_group(sub):
@@ -221,10 +198,10 @@ def two_maximal_subgroups_of_p_group(X) -> list[Subgroup]:
                 seen.add(H.ids)
                 out.append(H)
     out.sort(key=lambda s: s.sorted_ids)
-    G.cache[key] = out
     return out
 
 
+@memo
 def all_subgroups(X) -> list[Subgroup]:
     """Every subgroup, by adjoining one element at a time.  Exponential;
     guarded by the scan bound in the group's limits."""
@@ -234,10 +211,6 @@ def all_subgroups(X) -> list[Subgroup]:
             f"subgroup scan over {sub.order} elements exceeds the bound "
             f"{G.limits.subgroup_scan_bound}"
         )
-    key = ("allsubs", sub.ids)
-    got = G.cache.get(key)
-    if got is not None:
-        return got
     members = sorted(sub.ids)
     found: dict[frozenset[int], list[int]] = {frozenset((0,)): []}
     frontier = [(frozenset((0,)), [])]
@@ -254,20 +227,15 @@ def all_subgroups(X) -> list[Subgroup]:
         frontier = nxt
     out = [Subgroup(G, ids, gens=gens or None) for ids, gens in found.items()]
     out.sort(key=lambda s: (s.order, s.sorted_ids))
-    G.cache[key] = out
     return out
 
 
+@memo
 def is_quaternion_free(X) -> bool:
     """True if no section H/K of X is an order-8 quaternion group."""
-    G, sub = _ambient(X)
+    sub = _ambient(X)[1]
     if sub.order % 8 != 0:
         return True
-    key = ("qfree", sub.ids)
-    got = G.cache.get(key)
-    if got is not None:
-        return got
-    verdict = True
     for H in all_subgroups(sub):
         if H.order % 8 != 0:
             continue
@@ -277,9 +245,5 @@ def is_quaternion_free(X) -> bool:
                 continue
             Q = H2 if K.is_trivial else quotient(H2, K)[0]
             if recognize_small(Q).is_q8:
-                verdict = False
-                break
-        if not verdict:
-            break
-    G.cache[key] = verdict
-    return verdict
+                return False
+    return True

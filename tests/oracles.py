@@ -284,3 +284,52 @@ def brute_socle(G: FiniteGroup) -> frozenset:
     minimal = [N for N in normals if not any(M < N for M in normals)]
     seed = set((0,)).union(*minimal) if minimal else {0}
     return brute_closure(G, seed)
+
+
+def is_factor_central_literal(
+    G: FiniteGroup, K: Subgroup, M: Subgroup, f, bound: int = 5000
+) -> bool:
+    """The definition verbatim: build (M/K) acted on by G/C_G(M/K) and
+    test membership in the formation f.  Pins `is_factor_central`."""
+    from gpi.groups import LimitExceeded, quotient, semidirect_product
+    from gpi.series import minimal_normal_overgroups
+    from gpi.structure import factor_centralizer
+
+    if M not in minimal_normal_overgroups(G, K):
+        raise ValueError("the pair is not a chief factor")
+    C = factor_centralizer(G, M, K)
+    if K.is_trivial:
+        V, vmap = M.as_group()
+        back = sorted(M.ids)
+
+        def to_v(a: int) -> int:
+            return vmap[a]
+
+        def to_ambient(i: int) -> int:
+            return back[i]
+
+    else:
+        Q1, pr1 = quotient(G, K)
+        vsub = pr1.image(M)
+        V, vmap = vsub.as_group()
+        back = sorted(vsub.ids)
+
+        def to_v(a: int) -> int:
+            return vmap[pr1(a)]
+
+        def to_ambient(i: int) -> int:
+            return pr1.reps[Q1.act(back[i], 0)]
+
+    if C.is_full:
+        return f.contains(V)
+    size = V.n * (G.n // C.order)
+    if size > bound:
+        raise LimitExceeded(f"literal centrality product has order {size} > {bound}")
+    Q2, pr2 = quotient(G, C)
+    vgens_ambient = [to_ambient(i) for i in V.generator_ids]
+    rows = []
+    for w in Q2.generator_ids:
+        g_inv = G.inv(pr2.reps[Q2.act(w, 0)])
+        rows.append([to_v(G.conj(a, g_inv)) for a in vgens_ambient])
+    S = semidirect_product(V, Q2, rows, name=f"({M.order}/{K.order}):{Q2.n}")
+    return f.contains(S)

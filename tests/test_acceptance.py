@@ -29,7 +29,6 @@ from gpi import (
     run_corpus,
     satisfies_partial_pi,
     socle,
-    subgroup_generated,
     sylow_subgroup,
     two_maximal_subgroups_of_p_group,
     two_minimal_subgroups,
@@ -117,7 +116,7 @@ def test_criterion_3_double_cover_of_a5():
     G = build_group("SL(2,5)")
     involutions = [g for g in range(G.n) if G.element_order(g) == 2]
     assert len(involutions) == 1
-    Z = subgroup_generated(G, involutions)
+    Z = G.generated(involutions)
     v = satisfies_partial_pi(G, Z)
     assert v.satisfied and v.verify()
     assert [t.order for t in v.terms] == [1, 2, 120]
@@ -239,7 +238,7 @@ def test_criterion_5c_verdicts_against_series_oracle():
         qcache: dict = {}
         pkg_refused = oracle_refused = 0
         for ids in sorted(_verdict_population(G), key=lambda s: (len(s), sorted(s))):
-            pkg = satisfies_partial_pi(G, subgroup_generated(G, ids)).satisfied
+            pkg = satisfies_partial_pi(G, G.generated(ids)).satisfied
             oracle = brute_partial_pi(G, ids, chains=chains, qcache=qcache)
             assert pkg == oracle, (name, sorted(ids)[:8])
             pkg_refused += not pkg

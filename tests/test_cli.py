@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,9 @@ S3_DESC = json.dumps(
         "action": [[[[0, 2, 1]]]],
     }
 )
+
+
+TRIVIAL_DESC = json.dumps({"type": "perm", "degree": 1, "generators": []})
 
 
 def run(capsys, *argv):
@@ -63,6 +68,14 @@ def test_check_element_id_generators(capsys):
     # id 0 is the identity, so this is the trivial subgroup: witnessed.
     code, out, _ = run(capsys, "check", "--group", "Q8", "--subgroup", "[0]")
     assert code == 0 and "witness" in out
+
+
+def test_check_rejects_json_booleans(capsys):
+    code, out, err = run(capsys, "check", "--group", "S4", "--subgroup", "[true]")
+    assert code == 2 and out == ""
+    assert "neither an element id nor a list of cycles" in err
+    code, out, err = run(capsys, "check", "--group", "S4", "--subgroup", "[[[true, 2]]]")
+    assert code == 2 and out == "" and "cycle point True" in err
 
 
 def test_check_family_json(capsys):
@@ -197,6 +210,41 @@ def test_description_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "info", "[1, 2]")
     assert code == 2 and "name or an object" in err
+
+
+def test_description_generator_shape(capsys):
+    code, _, err = run(capsys, "info", '{"type": "perm", "degree": 3, "generators": [[0, 1]]}')
+    assert code == 2 and "generators" in err
+
+
+def test_trivial_group(capsys):
+    code, out, _ = run(capsys, "info", TRIVIAL_DESC, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["order"] == 1 and data["socle"] == 1 and data["chief_series"] == [1]
+    code, out, _ = run(capsys, "check", "--group", TRIVIAL_DESC, "--subgroup", "[0]")
+    assert code == 0 and "witness" in out
+    for tid in ("t11", "l214"):
+        code, out, _ = run(capsys, "theorem", "--id", tid, "--group", TRIVIAL_DESC)
+        assert code == 0 and "OK" in out
+
+
+def test_readme_info_examples(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    examples = []
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        m = re.fullmatch(r"gpi info '(.*)'", line.strip())
+        if m is None:
+            continue
+        try:
+            json.loads(m.group(1))
+        except json.JSONDecodeError:
+            continue  # an elided sketch such as {"normal": {...}}
+        examples.append(m.group(1))
+    assert examples
+    for desc in examples:
+        code, _, err = run(capsys, "info", desc)
+        assert code == 0, (desc, err)
 
 
 def test_console_script():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from gpi.catalog import build_group, corpus_names
-from gpi.formations import U, Up, Formation, f_hypercenter, is_factor_central, is_factor_central_literal
+from gpi.formations import U, Up, Formation, f_hypercenter, is_factor_central
 from gpi.groups import LimitExceeded
 from gpi.series import (
     is_p_supersoluble,
@@ -14,6 +14,7 @@ from gpi.series import (
     normal_subgroups,
 )
 from gpi.arith import prime_set
+from oracles import is_factor_central_literal
 
 
 def _chief_pairs(G):

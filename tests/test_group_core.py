@@ -18,7 +18,10 @@ from gpi.groups import (
     recognize_small,
     semidirect_product,
 )
+from gpi.partialpi import satisfies_partial_pi
 from gpi.perm import Perm
+from gpi.series import normal_subgroups
+from gpi.sylow import cyclic_subgroups_of_order, maximal_subgroups_of_p_group, sylow_subgroup
 
 from oracles import brute_center, brute_closure, brute_normalizer
 
@@ -330,3 +333,18 @@ def test_brute_oracles_agree_on_s3():
     t = G.id_of_perm(cyc(3, [(0, 1)]))
     H = closure_ids(G, [t])
     assert brute_normalizer(G, H) == H  # a transposition is self-normalizing in S3
+
+
+def test_memo_applies_defaults_and_hands_out_copies():
+    G = s4()
+    H = cyclic_subgroups_of_order(G, 2)[0]
+    v = satisfies_partial_pi(G, H)
+    assert satisfies_partial_pi(G, H) is v
+    assert satisfies_partial_pi(G, H, reverse=False) is v
+    assert satisfies_partial_pi(G, Subgroup(G, H.ids)) is v
+    normal_subgroups(G).clear()
+    assert [N.order for N in normal_subgroups(G)] == [1, 4, 12, 24]
+    # A Subgroup first argument is memoised on its ambient group.
+    P = sylow_subgroup(G, 2)
+    maximal_subgroups_of_p_group(P).clear()
+    assert len(maximal_subgroups_of_p_group(P)) == 3
