@@ -13,7 +13,14 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .groups import CayleyGroup, FiniteGroup, PermGroup, TableGroup, semidirect_product
+from .groups import (
+    DEFAULT_LIMITS,
+    FiniteGroup,
+    LimitExceeded,
+    PermGroup,
+    TableGroup,
+    semidirect_product,
+)
 from .perm import Perm
 
 cyc = Perm.from_cycles
@@ -107,10 +114,13 @@ def _big_example():
             table[row + j] = idx[
                 ((v0 + w[0]) % 5, (v1 + w[1]) % 5, (v2 + w[2]) % 5, (v3 + w[3]) % 5)
             ]
+    neg = [idx[(-v0 % 5, -v1 % 5, -v2 % 5, -v3 % 5)] for v0, v1, v2, v3 in base]
     gens = [idx[(1, 0, 0, 0)], idx[(0, 1, 0, 0)], idx[(0, 0, 1, 0)], idx[(0, 0, 0, 1)]]
-    N = CayleyGroup(table, gens, labels=[str(v) for v in base], name="C5^4")
-    C3 = CayleyGroup(array("H", [(a + b) % 3 for a in range(3) for b in range(3)]),
-                     [1], labels=["e", "t", "t2"], name="C3")
+    labels = [str(v) for v in base]
+    N = TableGroup(range(625), lambda a, b: table[a * 625 + b], neg.__getitem__, gens=gens,
+                   label_fn=labels.__getitem__, name="C5^4")
+    C3 = TableGroup(range(3), lambda a, b: (a + b) % 3, lambda a: -a % 3, gens=[1],
+                    label_fn=("e", "t", "t2").__getitem__, name="C3")
     action = [[idx[(0, 1, 0, 0)], idx[(4, 4, 0, 0)], idx[(0, 0, 0, 1)], idx[(0, 0, 4, 4)]]]
     return semidirect_product(N, C3, action, name="5^4:3")
 
@@ -216,29 +226,46 @@ def from_description(desc) -> FiniteGroup:
     {"type": "perm", "degree": int, "generators": [cycle lists]};
     {"type": "semidirect", "normal": desc, "quotient": desc, "action":
     [cycle lists per quotient generator, one image per normal generator]}.
+    A missing key is reported with its path, such as `normal.generators`.
     """
+    return _from_description(desc, "")
+
+
+def _from_description(desc, where: str) -> FiniteGroup:
+    """`from_description` for the description found at path `where`."""
     if isinstance(desc, str):
         return build_group(desc)
     if not isinstance(desc, dict):
         raise ValueError("group description must be a name or an object")
+
+    def get(key):
+        if key not in desc:
+            raise ValueError(f"group description has no key {where + key!r}")
+        return desc[key]
+
     kind = desc.get("type")
     if kind == "catalog":
-        return build_group(desc["name"])
+        return build_group(get("name"))
     if kind == "perm":
-        degree = desc["degree"]
+        degree = get("degree")
         if type(degree) is not int or degree < 1:
             raise ValueError(f"degree must be a positive integer, got {degree!r}")
-        gens = [cyc(degree, g) for g in _cycle_lists(desc["generators"], "generators")]
+        if degree > DEFAULT_LIMITS.max_degree:
+            # Checked here because every generator allocates `degree` images.
+            raise LimitExceeded(
+                f"degree {degree} exceeds the ceiling {DEFAULT_LIMITS.max_degree}"
+            )
+        gens = [cyc(degree, g) for g in _cycle_lists(get("generators"), where + "generators")]
         return PermGroup(gens, degree=degree, name=desc.get("name", f"perm{degree}"))
     if kind == "semidirect":
-        N = from_description(desc["normal"])
-        Q = from_description(desc["quotient"])
+        N = _from_description(get("normal"), where + "normal.")
+        Q = _from_description(get("quotient"), where + "quotient.")
         if not isinstance(N, PermGroup):
             raise ValueError("semidirect descriptions act on a permutation-backed normal part")
-        action = desc["action"]
+        action = get("action")
         if not isinstance(action, list):
             raise ValueError("action must be a list of rows, one per quotient generator")
-        action = [[cyc(N.degree, img) for img in _cycle_lists(row, "action rows")]
+        action = [[cyc(N.degree, img) for img in _cycle_lists(row, where + "action rows")]
                   for row in action]
         return semidirect_product(N, Q, action, name=desc.get("name", f"{N.name}:{Q.name}"))
     raise ValueError(f"unknown group description type {kind!r}")

@@ -1,12 +1,13 @@
 """Group handles with a uniform integer-id face.
 
 Two backends exist: permutation groups (generators given as `Perm`s, order
-decided by a stabilizer chain, elements enumerated lazily) and table-backed
-groups (an explicit element domain with a product function; semidirect
-products are the main producer).  Once materialised, every handle looks the
-same: elements are the ids 0..n-1 with 0 the identity, `mul`/`inv` work on
-ids, and a subgroup is a canonical frozen set of ids.  All structural
-algorithms in the package are written once against that face.
+decided by a stabilizer chain, elements enumerated lazily) and table groups
+(an element domain with a product function).  Table groups serve re-rooted
+subgroups, hand-built groups, semidirect products and quotients; the last two
+compute directly on ids.  Once materialised, every handle looks the same:
+elements are the ids 0..n-1 with 0 the identity, `mul`/`inv` work on ids, and
+a subgroup is a canonical frozen set of ids.  All structural algorithms in the
+package are written once against that face.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ from .perm import Perm
 
 @dataclass(frozen=True)
 class Limits:
-    """Desk-scale ceilings.  Raise them deliberately, not by accident."""
+    """Desk-scale ceilings.  Raise them deliberately, not by accident.
+
+    `max_degree` bounds the degree of permutation groups only; quotients
+    are table groups on coset numbers and have no degree.
+    """
 
     max_elements: int = 1_000_000
     max_degree: int = 4096
@@ -74,11 +79,12 @@ def memo(fn):
 
 
 class FiniteGroup:
-    """Common face of all backends.
+    """Common face of the two backends, `PermGroup` and `TableGroup`.
 
-    Subclasses fill in `order`, `_build`, `mul`, `inv` and `label`; everything
-    else (element orders, conjugacy class representatives, generator
-    reduction, subgroup constructors) is shared.
+    Subclasses fill in `order`, `_build`, `mul`, `inv` and `label` (a
+    `TableGroup` sets `mul` and `inv` on the instance when it materialises);
+    everything else (element orders, conjugacy class representatives,
+    generator reduction, subgroup constructors) is shared.
     """
 
     def __init__(self, limits: Limits | None = None, name: str = ""):
@@ -507,8 +513,12 @@ class PermGroup(FiniteGroup):
 class TableGroup(FiniteGroup):
     """Group over an explicit element domain with caller-supplied operations.
 
-    domain[0] must be the identity.  Used for re-rooted subgroups (domain =
-    ambient ids) and for small hand-built groups with a product formula.
+    domain[0] must be the identity.  A `range(n)` domain says the caller's
+    functions already act on the ids 0..n-1 (semidirect products, quotients,
+    product tables); any other domain is translated to ids by position
+    (re-rooted subgroups, whose domain is ambient ids, and small hand-built
+    groups with a product formula).  `mul` and `inv` are plain functions on
+    ids, set on the instance (for a translated domain, at materialisation).
     """
 
     def __init__(
@@ -522,7 +532,11 @@ class TableGroup(FiniteGroup):
         name: str = "",
     ):
         super().__init__(limits, name)
-        self._domain = list(domain)
+        if isinstance(domain, range) and domain == range(len(domain)):
+            self._domain = domain
+            self.mul, self.inv = mul_fn, inv_fn
+        else:
+            self._domain = list(domain)
         if len(self._domain) > self.limits.max_elements:
             raise LimitExceeded(
                 f"domain of size {len(self._domain)} exceeds the element ceiling"
@@ -541,78 +555,28 @@ class TableGroup(FiniteGroup):
         return len(self._domain)
 
     def _build(self) -> None:
-        self._n = len(self._domain)
-        self._ids = {x: i for i, x in enumerate(self._domain)}
-        if len(self._ids) != self._n:
-            raise ValueError("domain contains repeated elements")
+        n = self._n = len(self._domain)
+        ids: dict = {}
+        if not isinstance(self._domain, range):
+            dom, mul_fn, inv_fn = self._domain, self._mul_fn, self._inv_fn
+            ids = {x: i for i, x in enumerate(dom)}
+            if len(ids) != n:
+                raise ValueError("domain contains repeated elements")
+            self.mul = lambda a, b: ids[mul_fn(dom[a], dom[b])]
+            self.inv = lambda a: ids[inv_fn(dom[a])]
         if self._given_gens is None:
-            gens = [i for i in range(1, self._n)]
+            gens = list(range(1, n))
         else:
-            gens = [self._ids[x] if x in self._ids else x for x in self._given_gens]
+            gens = [ids.get(x, x) for x in self._given_gens]
             for g in gens:
-                if not isinstance(g, int) or not 0 <= g < self._n:
+                if not isinstance(g, int) or not 0 <= g < n:
                     raise ValueError(f"generator {g!r} is not in the domain")
         self._gen_ids = gens
-
-    def mul(self, a: int, b: int) -> int:
-        return self._ids[self._mul_fn(self._domain[a], self._domain[b])]
-
-    def inv(self, a: int) -> int:
-        return self._ids[self._inv_fn(self._domain[a])]
 
     def label(self, a: int) -> str:
         if self._label_fn is not None:
             return self._label_fn(self._domain[a])
         return repr(self._domain[a])
-
-
-class CayleyGroup(FiniteGroup):
-    """Group over ids 0..n-1 with a flat precomputed product table.
-
-    The fastest backend by a wide margin; used where products dominate the
-    runtime (the normal part of large semidirect products).
-    """
-
-    def __init__(self, table, gens, labels=None, limits: Limits | None = None, name: str = ""):
-        super().__init__(limits, name)
-        self._table = table
-        n = math.isqrt(len(table))
-        if n * n != len(table):
-            raise ValueError("table length is not a perfect square")
-        if n > self.limits.max_elements:
-            raise LimitExceeded(f"table for {n} elements exceeds the element ceiling")
-        self._size = n
-        for a in range(n):
-            if table[a * n] != a or table[a] != a:
-                raise ValueError("row 0 and column 0 must fix every element")
-        inv = [-1] * n
-        for a in range(n):
-            row = table[a * n : (a + 1) * n]
-            for b, v in enumerate(row):
-                if v == 0:
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise ValueError(f"element {a} has no inverse; not a group table")
-        self._inv_arr = inv
-        self._gens = [g for g in dict.fromkeys(gens) if g != 0]
-        self._labels = list(labels) if labels is not None else None
-
-    def order(self) -> int:
-        return self._size
-
-    def _build(self) -> None:
-        self._n = self._size
-        self._gen_ids = list(self._gens)
-
-    def mul(self, a: int, b: int) -> int:
-        return self._table[a * self._size + b]
-
-    def inv(self, a: int) -> int:
-        return self._inv_arr[a]
-
-    def label(self, a: int) -> str:
-        return self._labels[a] if self._labels else str(a)
 
 
 # -- homomorphism extension --------------------------------------------------------
@@ -649,49 +613,7 @@ def hom_defect(G: FiniteGroup, phi, target_mul) -> tuple[int, int] | None:
 # -- semidirect products -------------------------------------------------------------
 
 
-class SemidirectGroup(FiniteGroup):
-    """Table-backed product N x| Q with (n1,q1)(n2,q2) = (n1 * q1(n2), q1 q2)."""
-
-    def __init__(self, N: FiniteGroup, Q: FiniteGroup, auts, limits=None, name=""):
-        super().__init__(limits or N.limits, name)
-        self.N = N
-        self.Q = Q
-        self._auts = auts
-        self._qn = Q.n
-        if N.n * Q.n > self.limits.max_elements:
-            raise LimitExceeded(
-                f"product of order {N.n * Q.n} exceeds the element ceiling"
-            )
-
-    def order(self) -> int:
-        return self.N.n * self.Q.n
-
-    def _build(self) -> None:
-        qn = self._qn
-        self._n = self.N.n * qn
-        self._gen_ids = [ng * qn for ng in self.N.generator_ids] + list(self.Q.generator_ids)
-
-    def mul(self, a: int, b: int) -> int:
-        qn = self._qn
-        n1, q1 = divmod(a, qn)
-        n2, q2 = divmod(b, qn)
-        return self.N.mul(n1, self._auts[q1][n2]) * qn + self.Q.mul(q1, q2)
-
-    def inv(self, a: int) -> int:
-        qn = self._qn
-        n, q = divmod(a, qn)
-        qi = self.Q.inv(q)
-        return self._auts[qi][self.N.inv(n)] * qn + qi
-
-    def label(self, a: int) -> str:
-        n, q = divmod(a, self._qn)
-        return f"({self.N.label(n)}; {self.Q.label(q)})"
-
-    def encode(self, n_id: int, q_id: int) -> int:
-        return n_id * self._qn + q_id
-
-
-def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action, limits=None, name="") -> SemidirectGroup:
+def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action, limits=None, name="") -> TableGroup:
     """Build N x| Q from the action of Q's generators on N's generators.
 
     `action[i][j]` is the image of N's j-th generator under the automorphism
@@ -699,6 +621,9 @@ def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action, limits=None, name
     permutation-backed N).  The assignment is validated: each generator image
     list must extend to an automorphism of N, and the automorphisms must
     compose the way Q's generators multiply.
+
+    The product is a table group on ids: the pair (n, q) has id n*|Q| + q
+    and label "(n; q)", and (n1,q1)(n2,q2) = (n1 * q1(n2), q1 q2).
     """
     N.materialize()
     Q.materialize()
@@ -726,29 +651,47 @@ def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action, limits=None, name
             raise ValueError(f"action row {qi} defines a non-bijective endomorphism")
         base_auts.append(aut)
 
-    # Extend q -> aut_q over all of Q along its parent tree, then verify that
-    # the extension is a homomorphism into Aut(N) (left action).
-    order_out, parents = Q.parent_tree()
-    auts: list = [None] * Q.n
-    auts[0] = list(range(N.n))
-    gen_aut = {g: base_auts[i] for i, g in enumerate(qgens)}
-    for q in order_out[1:]:
-        p, gi = parents[q]
-        pa, ga = auts[p], base_auts[gi]
-        auts[q] = [pa[ga[x]] for x in range(N.n)]
+    # Extend q -> aut_q over all of Q, then verify that the extension is a
+    # homomorphism into Aut(N) (left action).
+    def compose(pa, ga):
+        return [pa[x] for x in ga]
+
+    auts = hom_from_generators(Q, base_auts, compose, list(range(N.n)))
     for q in range(Q.n):
-        qa = auts[q]
-        for g, ga in gen_aut.items():
-            prod = Q.mul(q, g)
-            expect = [qa[ga[x]] for x in range(N.n)]
-            if auts[prod] != expect:
+        for g, ga in zip(qgens, base_auts):
+            if auts[Q.mul(q, g)] != compose(auts[q], ga):
                 raise ValueError(
                     f"action is not a homomorphism: quotient pair ({q}, {g}) misbehaves"
                 )
-    return SemidirectGroup(N, Q, auts, limits=limits or N.limits, name=name)
+
+    qn, nmul, qmul, ninv, qinv = Q.n, N.mul, Q.mul, N.inv, Q.inv
+
+    def mul(a: int, b: int) -> int:
+        n1, q1 = divmod(a, qn)
+        n2, q2 = divmod(b, qn)
+        return nmul(n1, auts[q1][n2]) * qn + qmul(q1, q2)
+
+    def inv(a: int) -> int:
+        n, q = divmod(a, qn)
+        qi = qinv(q)
+        return auts[qi][ninv(n)] * qn + qi
+
+    def label(a: int) -> str:
+        n, q = divmod(a, qn)
+        return f"({N.label(n)}; {Q.label(q)})"
+
+    return TableGroup(
+        range(N.n * qn),
+        mul,
+        inv,
+        gens=[g * qn for g in ngens] + qgens,
+        label_fn=label,
+        limits=limits or N.limits,
+        name=name,
+    )
 
 
-def direct_product(A: FiniteGroup, B: FiniteGroup, limits=None, name="") -> SemidirectGroup:
+def direct_product(A: FiniteGroup, B: FiniteGroup, limits=None, name="") -> TableGroup:
     """Direct product as a semidirect product with trivial action."""
     A.materialize()
     B.materialize()
@@ -760,37 +703,29 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, limits=None, name="") -> Semi
 
 
 class QuotientMap:
-    """Projection G -> G/N for the coset action quotient."""
+    """Projection G -> G/N: each element goes to the number of its coset."""
 
-    def __init__(self, group: FiniteGroup, quot: PermGroup, sub: Subgroup, labels, reps):
+    def __init__(self, group: FiniteGroup, quot: TableGroup, sub: Subgroup, labels, reps):
         self.group = group
         self.quot = quot
         self.sub = sub
         self.labels = labels
         self.reps = reps
-        self._proj: dict[int, int] = {}
 
     def __call__(self, gid: int) -> int:
-        got = self._proj.get(gid)
-        if got is None:
-            G, labels, reps = self.group, self.labels, self.reps
-            img = tuple(labels[G.mul(r, gid)] for r in reps)
-            got = self.quot.id_of_perm(Perm(img))
-            self._proj[gid] = got
-        return got
+        return self.labels[gid]
 
     def image(self, sub: Subgroup) -> Subgroup:
         if sub.group is not self.group:
             raise ValueError("subgroup lives in a different group")
-        return self.quot.generated([self(g) for g in sub.gens])
+        return self.quot.generated([self.labels[g] for g in sub.gens])
 
     def preimage(self, subq: Subgroup) -> Subgroup:
         """Pull back a subgroup of the quotient; costs one scan, no products."""
         if subq.group is not self.quot:
             raise ValueError("subgroup does not live in the quotient")
-        cosets = {self.quot.act(w, 0) for w in subq.ids}
-        ids = [g for g, c in enumerate(self.labels) if c in cosets]
-        return Subgroup(self.group, ids)
+        cosets = subq.ids
+        return Subgroup(self.group, [g for g, c in enumerate(self.labels) if c in cosets])
 
     def kernel(self) -> Subgroup:
         return Subgroup(self.group, (g for g, c in enumerate(self.labels) if c == 0))
@@ -803,48 +738,29 @@ def is_normal(G: FiniteGroup, sub: Subgroup) -> bool:
     return all(G.conj(m, g) in ids for g in G.reduced_generator_ids() for m in sub.gens)
 
 
-def quotient(G: FiniteGroup, N: Subgroup) -> tuple[PermGroup, QuotientMap]:
-    """G/N as a permutation group on the cosets of N, plus the projection."""
+def quotient(G: FiniteGroup, N: Subgroup) -> tuple[TableGroup, QuotientMap]:
+    """G/N plus the projection.  The quotient's ids are coset numbers, in
+    the order a scan of G's ids meets the cosets (so N is 0); products are
+    taken through one representative per coset."""
     G.materialize()
     if not is_normal(G, N):
         raise ValueError("cannot form the quotient: subgroup is not normal")
-    k = G.n // N.order
-    if k > G.limits.max_degree:
-        raise LimitExceeded(f"index {k} exceeds the degree ceiling {G.limits.max_degree}")
-
     labels = [-1] * G.n
-    reps = [0]
-    for m in N.ids:
-        labels[m] = 0
-    frontier = [0]
-    gens = G.reduced_generator_ids()
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for g in gens:
-                t = G.mul(r, g)
-                if labels[t] < 0:
-                    c = len(reps)
-                    reps.append(t)
-                    for m in N.ids:
-                        labels[G.mul(m, t)] = c
-                    nxt.append(t)
-        frontier = nxt
-    if len(reps) != k:
-        raise RuntimeError("coset walk lost cosets; product tables corrupt?")
-
-    qgens = [
-        Perm(tuple(labels[G.mul(r, g)] for r in reps)) for g in G.generator_ids
-    ]
-    quot = PermGroup(
-        qgens,
-        degree=k,
+    reps: list[int] = []
+    for g in range(G.n):
+        if labels[g] < 0:
+            for m in N.ids:
+                labels[G.mul(m, g)] = len(reps)
+            reps.append(g)
+    gmul, ginv = G.mul, G.inv
+    quot = TableGroup(
+        range(len(reps)),
+        lambda a, b: labels[gmul(reps[a], reps[b])],
+        lambda a: labels[ginv(reps[a])],
+        gens=[c for c in dict.fromkeys(labels[g] for g in G.generator_ids) if c],
         limits=G.limits,
-        name=f"{G.name}/N{N.order}" if G.name else f"quotient{k}",
+        name=f"{G.name}/N{N.order}" if G.name else f"quotient{len(reps)}",
     )
-    quot.materialize()
-    if quot.n != k:
-        raise RuntimeError("coset action is not regular on the cosets; N not normal?")
     return quot, QuotientMap(G, quot, N, labels, reps)
 
 

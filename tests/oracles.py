@@ -7,7 +7,7 @@ on small groups) and compare the package's real algorithms against them.
 
 from __future__ import annotations
 
-from gpi.groups import FiniteGroup, Subgroup
+from gpi.groups import FiniteGroup, Subgroup, TableGroup
 
 
 def brute_closure(G: FiniteGroup, seeds) -> frozenset:
@@ -174,6 +174,31 @@ def brute_chief_chains(G: FiniteGroup, normals=None) -> list[list[frozenset]]:
     return chains
 
 
+def brute_quotient(G: FiniteGroup, n_ids) -> tuple[TableGroup, list[int]]:
+    """G/N over coset representatives: cosets found by scanning G in id
+    order, products taken through the representatives.  Also returns each
+    element's coset number, which is its image's id in the quotient."""
+    coset = [-1] * G.n
+    reps: list[int] = []
+    for g in range(G.n):
+        if coset[g] < 0:
+            for m in n_ids:
+                coset[G.mul(g, m)] = len(reps)
+            reps.append(g)
+
+    def rep(g: int) -> int:
+        return reps[coset[g]]
+
+    Q = TableGroup(
+        reps,
+        lambda a, b: rep(G.mul(a, b)),
+        lambda a: rep(G.inv(a)),
+        gens=[rep(g) for g in G.generator_ids],
+        label_fn=G.label,
+    )
+    return Q, coset
+
+
 def brute_partial_pi(G: FiniteGroup, h_ids, chains=None, qcache=None) -> bool:
     """Try every chief series; evaluate each factor in the materialised
     quotient with full normalizer scans.
@@ -182,7 +207,6 @@ def brute_partial_pi(G: FiniteGroup, h_ids, chains=None, qcache=None) -> bool:
     share the series enumeration and the quotient constructions.
     """
     from gpi.arith import is_pi_number, prime_set
-    from gpi.groups import Subgroup as _Sub, quotient
 
     h_ids = frozenset(h_ids)
     if chains is None:
@@ -199,10 +223,10 @@ def brute_partial_pi(G: FiniteGroup, h_ids, chains=None, qcache=None) -> bool:
             Q, him, mim = G, h_ids, m_ids
         else:
             if k_ids not in qcache:
-                qcache[k_ids] = quotient(G, _Sub(G, k_ids))
+                qcache[k_ids] = brute_quotient(G, k_ids)
             Q, pr = qcache[k_ids]
-            him = frozenset(pr(h) for h in h_ids)
-            mim = frozenset(pr(m) for m in m_ids)
+            him = frozenset(pr[h] for h in h_ids)
+            mim = frozenset(pr[m] for m in m_ids)
         meet = him & mim
         if len(meet) == 1:
             memo[key] = True
@@ -219,7 +243,6 @@ def brute_partial_pi(G: FiniteGroup, h_ids, chains=None, qcache=None) -> bool:
 def brute_p_length(G: FiniteGroup, p: int) -> int:
     """Count the p-steps of the alternating upper p-series, peeling the
     largest normal p'- or p-subgroup off the top quotient each round."""
-    from gpi.groups import Subgroup as _Sub, quotient
 
     def p_power(k: int) -> bool:
         while k % p == 0:
@@ -231,12 +254,12 @@ def brute_p_length(G: FiniteGroup, p: int) -> int:
     while cur.n > 1:
         opp = brute_core(cur, lambda k: k % p != 0)
         if len(opp) > 1:
-            cur = quotient(cur, _Sub(cur, opp))[0]
+            cur = brute_quotient(cur, opp)[0]
             continue
         op = brute_core(cur, p_power)
         if len(op) > 1:
             length += 1
-            cur = quotient(cur, _Sub(cur, op))[0]
+            cur = brute_quotient(cur, op)[0]
             continue
         raise ValueError("upper p-series stalls; the group is not p-soluble")
     return length
@@ -244,15 +267,13 @@ def brute_p_length(G: FiniteGroup, p: int) -> int:
 
 def brute_hypercenter(G: FiniteGroup) -> frozenset:
     """Climb centres of quotients until they go trivial."""
-    from gpi.groups import Subgroup as _Sub, quotient
-
     ids = frozenset((0,))
     while len(ids) < G.n:
-        Q, pr = quotient(G, _Sub(G, ids))
+        Q, pr = brute_quotient(G, ids)
         zc = brute_center(Q)
         if len(zc) == 1:
             break
-        ids = frozenset(g for g in range(G.n) if pr(g) in zc)
+        ids = frozenset(g for g in range(G.n) if pr[g] in zc)
     return ids
 
 
@@ -291,7 +312,7 @@ def is_factor_central_literal(
 ) -> bool:
     """The definition verbatim: build (M/K) acted on by G/C_G(M/K) and
     test membership in the formation f.  Pins `is_factor_central`."""
-    from gpi.groups import LimitExceeded, quotient, semidirect_product
+    from gpi.groups import LimitExceeded, semidirect_product
     from gpi.series import minimal_normal_overgroups
     from gpi.structure import factor_centralizer
 
@@ -309,27 +330,27 @@ def is_factor_central_literal(
             return back[i]
 
     else:
-        Q1, pr1 = quotient(G, K)
-        vsub = pr1.image(M)
+        Q1, pr1 = brute_quotient(G, K.ids)
+        vsub = Subgroup(Q1, {pr1[m] for m in M.ids})
         V, vmap = vsub.as_group()
         back = sorted(vsub.ids)
 
         def to_v(a: int) -> int:
-            return vmap[pr1(a)]
+            return vmap[pr1[a]]
 
         def to_ambient(i: int) -> int:
-            return pr1.reps[Q1.act(back[i], 0)]
+            return pr1.index(back[i])
 
     if C.is_full:
         return f.contains(V)
     size = V.n * (G.n // C.order)
     if size > bound:
         raise LimitExceeded(f"literal centrality product has order {size} > {bound}")
-    Q2, pr2 = quotient(G, C)
+    Q2, pr2 = brute_quotient(G, C.ids)
     vgens_ambient = [to_ambient(i) for i in V.generator_ids]
     rows = []
     for w in Q2.generator_ids:
-        g_inv = G.inv(pr2.reps[Q2.act(w, 0)])
+        g_inv = G.inv(pr2.index(w))
         rows.append([to_v(G.conj(a, g_inv)) for a in vgens_ambient])
     S = semidirect_product(V, Q2, rows, name=f"({M.order}/{K.order}):{Q2.n}")
     return f.contains(S)

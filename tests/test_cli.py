@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import re
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 from gpi import verify as verify_mod
 from gpi.cli import main
+from gpi.perm import Perm
 from gpi.verify import TheoremReport
 
 S3_DESC = json.dumps(
@@ -210,6 +212,38 @@ def test_description_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "info", "[1, 2]")
     assert code == 2 and "name or an object" in err
+
+
+def test_description_missing_keys_name_their_path(capsys):
+    perm = {"type": "perm", "degree": 3, "generators": [[[0, 1, 2]]]}
+    cases = [
+        ({"type": "catalog"}, "'name'"),
+        ({"type": "perm", "degree": 3}, "'generators'"),
+        ({"type": "perm", "generators": []}, "'degree'"),
+        ({"type": "semidirect", "normal": perm, "quotient": perm}, "'action'"),
+        ({"type": "semidirect", "quotient": perm, "action": []}, "'normal'"),
+        ({"type": "semidirect", "normal": {"type": "perm", "degree": 3},
+          "quotient": perm, "action": []}, "'normal.generators'"),
+        ({"type": "semidirect", "normal": perm, "action": [],
+          "quotient": {"type": "semidirect", "normal": perm, "quotient": perm}},
+         "'quotient.action'"),
+    ]
+    for desc, path in cases:
+        code, out, err = run(capsys, "info", json.dumps(desc))
+        assert code == 2 and out == "", desc
+        assert f"has no key {path}" in err, (desc, err)
+
+
+def test_description_degree_ceiling_before_allocation(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Perm.from_cycles called before the degree check")
+
+    monkeypatch.setattr(Perm, "from_cycles", refuse)
+    monkeypatch.setattr(importlib.import_module("gpi.catalog"), "cyc", refuse)
+    desc = json.dumps({"type": "perm", "degree": 4097, "generators": [[[0, 1]]]})
+    code, out, err = run(capsys, "info", desc)
+    assert code == 2 and out == ""
+    assert "degree 4097 exceeds the ceiling 4096" in err
 
 
 def test_description_generator_shape(capsys):

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from gpi.catalog import build_group
 from gpi.groups import (
     Limits,
     LimitExceeded,
@@ -20,8 +22,13 @@ from gpi.groups import (
 )
 from gpi.partialpi import satisfies_partial_pi
 from gpi.perm import Perm
-from gpi.series import normal_subgroups
-from gpi.sylow import cyclic_subgroups_of_order, maximal_subgroups_of_p_group, sylow_subgroup
+from gpi.series import normal_subgroups, one_chief_series
+from gpi.sylow import (
+    all_subgroups,
+    cyclic_subgroups_of_order,
+    maximal_subgroups_of_p_group,
+    sylow_subgroup,
+)
 
 from oracles import brute_center, brute_closure, brute_normalizer
 
@@ -226,7 +233,7 @@ def test_semidirect_c3_by_c2_is_symmetric():
     assert G.n == 6 and not G.is_abelian()
     fp = recognize_small(G)
     assert fp.histogram == {1: 1, 2: 3, 3: 2}
-    e = G.encode(1, 1)
+    e = 1 * C2.n + 1  # the pair (x, s) has id x * |C2| + s
     assert G.mul(e, e) == 0  # (x, s)^2 = (x * s(x), 1) = (x * x^-1, 1)
 
 
@@ -289,8 +296,8 @@ def test_limits_are_enforced():
     v4 = small.generated(
         [small.id_of_perm(cyc(4, [(0, 1), (2, 3)])), small.id_of_perm(cyc(4, [(0, 2), (1, 3)]))]
     )
-    with pytest.raises(LimitExceeded):
-        quotient(small, v4)  # index 6 > degree ceiling 4
+    # The degree ceiling bounds permutation groups only, not quotients.
+    assert quotient(small, v4)[0].n == 6
 
 
 def test_recognize_small_two_group_shapes():
@@ -348,3 +355,64 @@ def test_memo_applies_defaults_and_hands_out_copies():
     P = sylow_subgroup(G, 2)
     maximal_subgroups_of_p_group(P).clear()
     assert len(maximal_subgroups_of_p_group(P)) == 3
+
+
+def _isomorphism(G, X):
+    """An isomorphism G -> X as a list of ids, found by trying generator images."""
+    for images in itertools.product(range(X.n), repeat=len(G.generator_ids)):
+        phi = hom_from_generators(G, list(images), X.mul)
+        if len(set(phi)) == X.n and hom_defect(G, phi, X.mul) is None:
+            return phi
+    raise AssertionError(f"{X!r} is not isomorphic to {G!r}")
+
+
+def _symmetric_table(k):
+    """S_k as a table group on ids: the permutations of range(k) in
+    lexicographic order (identity first), multiplied through a flat table."""
+    perms = list(itertools.permutations(range(k)))
+    idx = {p: i for i, p in enumerate(perms)}
+    n = len(perms)
+    table = [idx[tuple(b[x] for x in a)] for a in perms for b in perms]
+    inv = [table[a * n:(a + 1) * n].index(0) for a in range(n)]
+    return TableGroup(range(n), lambda a, b: table[a * n + b], inv.__getitem__)
+
+
+def _s3_ways():
+    G = s4()
+    v4 = G.generated(
+        [G.id_of_perm(cyc(4, [(0, 1), (2, 3)])), G.id_of_perm(cyc(4, [(0, 2), (1, 3)]))]
+    )
+    return [
+        semidirect_product(cn_table(3), cn_table(2), [[2]]),
+        _symmetric_table(3),
+        quotient(G, v4)[0],
+    ]
+
+
+def _s4_ways():
+    a, b, ab = cyc(4, [(0, 1)]), cyc(4, [(2, 3)]), cyc(4, [(0, 1), (2, 3)])
+    # S3 permutes the three involutions of V4: (0 1 2) cycles a -> b -> ab,
+    # (0 1) swaps a and b.
+    V4S3 = semidirect_product(build_group("C2^2"), build_group("S3"), [[b, ab], [b, a]])
+    S4xC2 = direct_product(s4(), cn_table(2))
+    return [V4S3, _symmetric_table(4), quotient(S4xC2, Subgroup(S4xC2, (0, 1)))[0]]
+
+
+@pytest.mark.parametrize("name,ways", [("S3", _s3_ways), ("S4", _s4_ways)])
+def test_backends_agree_under_isomorphism(name, ways):
+    # The catalog permutation group against a semidirect product, a product
+    # table and a quotient: every subgroup carried over by an isomorphism gets
+    # the same verdict, and a witness the same factor checks.  Every subgroup
+    # of S3 is witnessed; S4 adds refusals (9 of its 30 subgroups).
+    G = build_group(name)
+    subgroups = all_subgroups(G)
+    want = [satisfies_partial_pi(G, H) for H in subgroups]
+    for X in ways():
+        phi = _isomorphism(G, X)
+        assert all(X.inv(phi[a]) == phi[G.inv(a)] for a in range(G.n))
+        assert one_chief_series(X).factor_orders() == one_chief_series(G).factor_orders()
+        for H, v in zip(subgroups, want):
+            got = satisfies_partial_pi(X, Subgroup(X, {phi[h] for h in H.ids}))
+            assert got.satisfied == v.satisfied, (name, X, H)
+            if v.satisfied:
+                assert got.checks == v.checks, (name, X, H)
