@@ -245,7 +245,10 @@ def _from_description(desc, where: str) -> FiniteGroup:
 
     kind = desc.get("type")
     if kind == "catalog":
-        return build_group(get("name"))
+        name = get("name")
+        if not isinstance(name, str):
+            raise ValueError(f"{where}name must be a catalog name string, got {name!r}")
+        return build_group(name)
     if kind == "perm":
         degree = get("degree")
         if type(degree) is not int or degree < 1:

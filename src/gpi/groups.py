@@ -8,6 +8,13 @@ compute directly on ids.  Once materialised, every handle looks the same:
 elements are the ids 0..n-1 with 0 the identity, `mul`/`inv` work on ids, and
 a subgroup is a canonical frozen set of ids.  All structural algorithms in the
 package are written once against that face.
+
+The orbit kernels read id tables built once per group and kept in `G.memo`,
+not products of single elements: one conjugation table per reduced
+generator (`conjugation_tables`) and one left-coset numbering per subgroup
+id-set a product or quotient is taken by (`left_cosets`).  Each table is a
+tuple of n ids, so callers cannot change what the memo holds.  No Cayley
+table is built.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import functools
 import inspect
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from . import bsgs
 from .arith import factorize
@@ -168,8 +176,42 @@ class FiniteGroup:
         return keep
 
     @memo
+    def conjugation_tables(self) -> tuple[tuple[int, ...], ...]:
+        """For each reduced generator g, the table x -> g^-1 x g over all ids.
+
+        Costs 2n products per generator, once per group.
+        """
+        n = self.n  # materialises first, which sets mul on a translated TableGroup
+        mul = self.mul
+        out = []
+        for g in self.reduced_generator_ids():
+            ig = self.inv(g)
+            out.append(tuple([mul(mul(ig, x), g) for x in range(n)]))
+        return tuple(out)
+
+    @memo
+    def left_cosets(self, right: frozenset) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Number the left cosets g*right of a subgroup's id-set in scan order.
+
+        Returns (labels, reps): labels[x] is the number of the coset holding
+        x, and reps[c] is the first id of coset c, so the identity's coset
+        is 0.  Costs n products, once per group and id-set.
+        """
+        n = self.n  # before reading mul, as above
+        mul = self.mul
+        labels = [-1] * n
+        reps: list[int] = []
+        for g in range(n):
+            if labels[g] < 0:
+                c = len(reps)
+                for m in right:
+                    labels[mul(g, m)] = c
+                reps.append(g)
+        return tuple(labels), tuple(reps)
+
+    @memo
     def conjugacy_class_reps(self) -> list[int]:
-        gens = self.reduced_generator_ids()
+        tables = self.conjugation_tables()
         seen = bytearray(self.n)
         reps = []
         for a in range(self.n):
@@ -181,8 +223,8 @@ class FiniteGroup:
             while frontier:
                 nxt = []
                 for x in frontier:
-                    for g in gens:
-                        y = self.conj(x, g)
+                    for t in tables:
+                        y = t[x]
                         if not seen[y]:
                             seen[y] = 1
                             nxt.append(y)
@@ -265,15 +307,16 @@ def closure_ids(G: FiniteGroup, seed_ids) -> frozenset:
 def product_ids(G: FiniteGroup, left, right: frozenset) -> frozenset:
     """The product set left*right, where right is a subgroup's id-set.
 
-    Walks left cosets, so the work is proportional to the size of the result
-    rather than to len(left) * len(right).
+    The result is the union of the left cosets a*right for a in left: one
+    scan of the coset numbering of right (`G.left_cosets`, n entries stored
+    per group and distinct right) and no products.  Every caller in the
+    package passes a normal subgroup as right.
     """
-    out: set[int] = set()
-    for a in left:
-        if a in out:
-            continue
-        out.update(G.mul(a, b) for b in right)
-    return frozenset(out)
+    if len(right) == 1:
+        return frozenset(left)
+    labels = G.left_cosets(right)[0]
+    want = set(map(labels.__getitem__, left))
+    return frozenset(compress(range(G.n), map(want.__contains__, labels)))
 
 
 def conj_set(G: FiniteGroup, ids, g: int) -> frozenset:
@@ -741,17 +784,13 @@ def is_normal(G: FiniteGroup, sub: Subgroup) -> bool:
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[TableGroup, QuotientMap]:
     """G/N plus the projection.  The quotient's ids are coset numbers, in
     the order a scan of G's ids meets the cosets (so N is 0); products are
-    taken through one representative per coset."""
+    taken through one representative per coset.  N is normal, so its left
+    cosets are its cosets and the numbering is `G.left_cosets(N.ids)`, shared
+    with `product_ids`."""
     G.materialize()
     if not is_normal(G, N):
         raise ValueError("cannot form the quotient: subgroup is not normal")
-    labels = [-1] * G.n
-    reps: list[int] = []
-    for g in range(G.n):
-        if labels[g] < 0:
-            for m in N.ids:
-                labels[G.mul(m, g)] = len(reps)
-            reps.append(g)
+    labels, reps = G.left_cosets(N.ids)
     gmul, ginv = G.mul, G.inv
     quot = TableGroup(
         range(len(reps)),

@@ -8,7 +8,7 @@ and element scans.
 from __future__ import annotations
 
 from .arith import factorize
-from .groups import FiniteGroup, Subgroup, closure_ids, conj_set
+from .groups import FiniteGroup, Subgroup, closure_ids
 
 
 def normalizer(G: FiniteGroup, sub: Subgroup) -> Subgroup:
@@ -21,19 +21,20 @@ def normalizer_index(G: FiniteGroup, ids) -> int:
     """|G : N_G(H)| as the size of the conjugation orbit of H's id-set.
 
     This is the hot path of the factor checks: no normalizer is materialised,
-    and each orbit point costs two products per element of H.
+    and each orbit point costs one lookup per element of H in each of the
+    group's conjugation tables.
     """
     if isinstance(ids, Subgroup):
         ids = ids.ids
     start = ids if isinstance(ids, frozenset) else frozenset(ids)
-    gens = G.reduced_generator_ids()
+    tables = G.conjugation_tables()
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for S in frontier:
-            for g in gens:
-                T = conj_set(G, S, g)
+            for t in tables:
+                T = frozenset(map(t.__getitem__, S))
                 if T not in seen:
                     seen.add(T)
                     nxt.append(T)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import gpi
 from gpi import verify as verify_mod
 from gpi.cli import main
 from gpi.perm import Perm
@@ -234,6 +236,20 @@ def test_description_missing_keys_name_their_path(capsys):
         assert f"has no key {path}" in err, (desc, err)
 
 
+def test_description_catalog_name_must_be_a_string(capsys):
+    perm = {"type": "perm", "degree": 3, "generators": [[[0, 1, 2]]]}
+    cases = [
+        ({"type": "catalog", "name": [1]}, "name"),
+        ({"type": "catalog", "name": 8}, "name"),
+        ({"type": "semidirect", "normal": perm, "action": [],
+          "quotient": {"type": "catalog", "name": {"S3": 1}}}, "quotient.name"),
+    ]
+    for desc, path in cases:
+        code, out, err = run(capsys, "info", json.dumps(desc))
+        assert code == 2 and out == "", desc
+        assert f"{path} must be a catalog name string" in err, (desc, err)
+
+
 def test_description_degree_ceiling_before_allocation(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("Perm.from_cycles called before the degree check")
@@ -282,9 +298,13 @@ def test_readme_info_examples(capsys):
 
 
 def test_console_script():
+    # The child imports the same gpi as this test, installed or not.
+    src = str(Path(gpi.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "gpi.cli", "info", "Q8"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "order 8" in proc.stdout

@@ -149,6 +149,61 @@ def test_closure_product_conj_sets():
     assert conj_set(G, A, r) == frozenset({0, G.conj(t, r)})
 
 
+def test_conjugation_tables_match_conj():
+    # A permutation group, 5^4:3 on ids, and a re-rooted (translated) subgroup.
+    rerooted, _ = sylow_subgroup(s4(), 2).as_group()
+    for G in (s4(), build_group("5^4:3"), rerooted):
+        tables = G.conjugation_tables()
+        gens = G.reduced_generator_ids()
+        assert len(tables) == len(gens)
+        for t, g in zip(tables, gens):
+            assert list(t) == [G.conj(x, g) for x in range(G.n)]
+
+
+def test_product_ids_matches_brute_products():
+    G = s4()
+    v4 = G.generated(
+        [G.id_of_perm(cyc(4, [(0, 1), (2, 3)])), G.id_of_perm(cyc(4, [(0, 2), (1, 3)]))]
+    )
+    t = G.generated([G.id_of_perm(cyc(4, [(0, 1)]))])  # not normal: left cosets matter
+    rng = random.Random(5)
+    lefts = [rng.sample(range(G.n), k) for k in (1, 3, 7)] + [t.ids, v4.ids]
+    for right in (v4.ids, t.ids, frozenset((0,)), frozenset(range(G.n))):
+        for left in lefts:
+            want = frozenset(G.mul(a, b) for a in left for b in right)
+            assert product_ids(G, left, right) == want, (left, right)
+    big = build_group("5^4:3")
+    M = normal_subgroups(big)[1]
+    left = rng.sample(range(big.n), 40)
+    assert product_ids(big, left, M.ids) == {big.mul(a, b) for a in left for b in M.ids}
+
+
+def test_quotient_numbering_equals_a_right_coset_scan():
+    for G in (s4(), build_group("5^4:3")):
+        for N in normal_subgroups(G):
+            labels, reps = [-1] * G.n, []
+            for g in range(G.n):
+                if labels[g] < 0:
+                    for m in N.ids:
+                        labels[G.mul(m, g)] = len(reps)
+                    reps.append(g)
+            _, pr = quotient(G, N)
+            assert list(pr.labels) == labels and list(pr.reps) == reps
+
+
+def test_id_tables_are_read_only_and_shared():
+    G = s4()
+    v4 = normal_subgroups(G)[1]
+    tables = G.conjugation_tables()
+    labels, reps = G.left_cosets(v4.ids)
+    for table in (*tables, labels, reps):
+        with pytest.raises(TypeError):
+            table[0] = 1
+    assert G.conjugation_tables() is tables
+    assert G.left_cosets(v4.ids)[0] is labels
+    assert quotient(G, v4)[1].labels is labels
+
+
 def test_subgroup_validation_and_identity():
     G = s4()
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 from gpi.catalog import build_group
 from gpi.groups import Subgroup, closure_ids
 from gpi.perm import Perm
+from gpi.series import minimal_normal_subgroups
 from gpi.structure import (
     centralizer,
     centre,
@@ -18,6 +19,7 @@ from gpi.structure import (
     p_prime_residual,
     p_residual,
 )
+from gpi.sylow import cyclic_subgroups_of_order
 
 from oracles import brute_centralizer, brute_normalizer
 
@@ -56,6 +58,18 @@ def test_normalizer_index_equals_orbit_free_count(s4, s4_probes):
     d8 = build_group("D8")
     r = d8.generated([d8.generator_ids[0]])
     assert normalizer_index(d8, r) == 1  # the rotation subgroup is normal
+    # 5^4:3 on the semidirect backend: a minimal normal subgroup, lines and
+    # planes of 5^4, and a self-normalising Sylow 3-subgroup.
+    big = build_group("5^4:3")
+    lines = cyclic_subgroups_of_order(big, 5)[:4]
+    probes = [minimal_normal_subgroups(big)[0], *lines, cyclic_subgroups_of_order(big, 3)[0]]
+    probes += [big.generated(lines[0].gens + L.gens) for L in lines[1:]]
+    seen = set()
+    for H in probes:
+        idx = normalizer_index(big, H)
+        assert idx == big.n // len(brute_normalizer(big, H.ids)), H
+        seen.add(idx)
+    assert seen == {1, 3, 625}
 
 
 def test_centralizer_and_centre(s4):
