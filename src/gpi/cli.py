@@ -4,7 +4,8 @@ Four subcommands: `info` summarises one group, `check` decides the
 chief-series property for chosen subgroups, `theorem` runs one theorem
 checker over one group, and `corpus` sweeps every checker over the
 built-in catalogue.  Exit codes: 0 success, 1 a refusal or theorem
-violation was found, 2 usage or resource errors.
+violation was found, 2 usage or resource errors, or an output pipe
+closed by its reader.
 
 Groups are given either as a catalogue name (`S4`) or as a JSON object:
 {"type": "catalog", "name": ...}, {"type": "perm", "degree": n,
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -331,7 +333,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that has gone shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # Nothing more can be written; send the interpreter's final flush to
+        # devnull so it stays quiet, and exit as for any other I/O error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except LimitExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2

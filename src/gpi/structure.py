@@ -69,14 +69,18 @@ def factor_centralizer(G: FiniteGroup, L: Subgroup, K: Subgroup) -> Subgroup:
     )
 
 
-def normal_closure(G: FiniteGroup, seed_ids) -> Subgroup:
-    """Smallest normal subgroup of G containing the seeds.
+def normal_closure(G: FiniteGroup, seed_ids, by=None) -> Subgroup:
+    """Smallest subgroup containing the seeds and closed under conjugation
+    by the elements of `by` (default: G's reduced generators, giving the
+    normal closure in G).
 
-    Seeds, then the conjugates of each adjoined generator, are adjoined one
-    at a time and only when they lie outside the current closure, so the
-    closure is recomputed only when the subgroup actually grows.
+    With `by` the generators of a subgroup K that contains the seeds, the
+    result is the normal closure of the seeds in K.  Seeds, then the
+    conjugates of each adjoined generator, are adjoined one at a time and
+    only when they lie outside the current closure, so the closure is
+    recomputed only when the subgroup actually grows.
     """
-    gens = G.reduced_generator_ids()
+    gens = G.reduced_generator_ids() if by is None else list(by)
     hgens: list[int] = []
     H = frozenset((0,))
     todo = list(seed_ids)
@@ -95,15 +99,16 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def derived_series(G: FiniteGroup) -> list[Subgroup]:
-    """G >= G' >= G'' >= ... down to the stable term (included once)."""
+    """G >= G' >= G'' >= ... down to the stable term (included once).
+
+    Each term is the normal closure, inside the previous term, of the
+    commutators of that term's generators.
+    """
     out = [G.full_subgroup()]
     while True:
-        cur = out[-1]
-        sub, to_new = cur.as_group()
-        der = derived_subgroup(sub)
-        back = sorted(cur.sorted_ids[i] for i in der.ids)
-        nxt = Subgroup(G, back)
-        if nxt == cur:
+        gens = out[-1].gens
+        nxt = normal_closure(G, {G.commutator(a, b) for a in gens for b in gens}, by=gens)
+        if nxt == out[-1]:
             return out
         out.append(nxt)
 
@@ -134,16 +139,19 @@ def p_prime_residual(G: FiniteGroup, p: int) -> Subgroup:
 
 
 def frattini_subgroup_of_p_subgroup(sub: Subgroup, p: int) -> Subgroup:
-    """Frattini subgroup of a p-subgroup: commutators and p-th powers.
+    """Frattini subgroup of a p-subgroup P, as a subgroup of the same ambient group.
 
-    Returned as a subgroup of the same ambient group.
+    By the Burnside basis theorem Phi(P) = P^p [P, P], which is the normal
+    closure in P of the p-th powers of any generating list and of the
+    commutators of its pairs; so the answer does not depend on which
+    generators `sub` carries.
     """
     if factorize(sub.order).keys() - {p}:
         raise ValueError(f"subgroup of order {sub.order} is not a {p}-group")
-    G = sub.group
-    seeds = {G.commutator(a, b) for a in sub.gens for b in sub.gens}
-    seeds |= {element_power(G, x, p) for x in sub.ids}
-    return Subgroup(G, closure_ids(G, seeds), gens=sorted(seeds - {0}))
+    G, gens = sub.group, sub.gens
+    seeds = [element_power(G, g, p) for g in gens]
+    seeds += [G.commutator(a, b) for a in gens for b in gens]
+    return normal_closure(G, seeds, by=gens)
 
 
 def element_power(G: FiniteGroup, a: int, k: int) -> int:

@@ -1,8 +1,16 @@
-"""Sylow subgroups and the small-index subgroup families of a p-group."""
+"""Sylow subgroups and the small-index subgroup families of a p-group.
+
+The Sylow subgroup and the subgroup families are computed on the ambient
+group's ids.  Maximal subgroups of a p-group come from a Burnside basis
+(generators independent modulo the Frattini subgroup), with no quotient
+group; only the quaternion-section test re-roots subgroups and forms
+quotients.
+"""
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+from operator import mul
 
 from .arith import factorize, p_part
 from .groups import (
@@ -106,53 +114,18 @@ def two_minimal_subgroups(X, p: int) -> list[Subgroup]:
     return out
 
 
-def _elementary_coordinates(Q: FiniteGroup, p: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """A basis of an elementary abelian p-group and coordinates for all
-    elements, as exponent vectors over GF(p)."""
-    basis: list[int] = []
-    coords: dict[int, tuple[int, ...]] = {0: ()}
-    for x in range(Q.n):
-        if x in coords:
-            continue
-        if Q.element_order(x) != p:
-            raise ValueError("coordinates need an elementary abelian group")
-        basis.append(x)
-        frontier = dict(coords)
-        for e, vec in frontier.items():
-            y = e
-            for c in range(1, p):
-                y = Q.mul(y, x)
-                coords[y] = vec + (c,)
-        for e in frontier:
-            coords[e] = coords[e] + (0,)
-    full = [coords[e] for e in range(Q.n)]
-    return basis, full
-
-
-def _functionals(d: int, p: int):
-    """Nonzero vectors of GF(p)^d with first nonzero entry 1: one
-    representative per hyperplane."""
-    if d == 0:
-        return
-    vec = [0] * d
-    for lead in range(d):
-        vec[lead] = 1
-        tail = d - lead - 1
-        count = p**tail
-        for m in range(count):
-            rest = []
-            mm = m
-            for _ in range(tail):
-                rest.append(mm % p)
-                mm //= p
-            yield tuple(vec[: lead + 1]) + tuple(rest)
-        vec[lead] = 0
-
-
 @memo
 def maximal_subgroups_of_p_group(X) -> list[Subgroup]:
-    """The maximal subgroups of a p-group: preimages of the hyperplanes
-    of its Frattini quotient."""
+    """The maximal subgroups of a p-group P, computed inside the ambient group.
+
+    Burnside basis theorem: generators independent modulo Phi(P) give
+    P/Phi(P) = GF(p)^d coordinates directly, with no quotient group.  A
+    basis is picked greedily from P's generators while the walk from Phi's
+    ids by right multiplication with it gives every element the coordinate
+    vector of its Phi-coset, coord(x*b_i) = coord(x) + e_i mod p.  The
+    maximal subgroups are the kernels of the nonzero functionals, one per
+    hyperplane (first nonzero entry 1).
+    """
     G, sub = _ambient(X)
     fac = factorize(sub.order)
     if len(fac) > 1:
@@ -160,27 +133,24 @@ def maximal_subgroups_of_p_group(X) -> list[Subgroup]:
     if sub.order == 1:
         return []
     (p, _), = fac.items()
-    if sub.order == p:
-        return [Subgroup(G, (0,))]
-    phi = frattini_subgroup_of_p_subgroup(sub, p)
-    P2, to_new = sub.as_group()
-    back = sorted(sub.ids)
-    if phi.is_trivial:
-        Q = P2
-        lift = None
-    else:
-        phi2 = Subgroup(P2, frozenset(to_new[a] for a in phi.ids))
-        Q, lift = quotient(P2, phi2)
-    _, coords = _elementary_coordinates(Q, p)
-    d = len(coords[1]) if Q.n > 1 else 0
+    coords: dict[int, tuple[int, ...]] = dict.fromkeys(
+        frattini_subgroup_of_p_subgroup(sub, p).ids, ()
+    )
+    for b in sub.gens:
+        if b in coords:
+            continue  # b lies in <Phi, basis so far>
+        for x, v in list(coords.items()):
+            coords[x] = v + (0,)
+            y = x
+            for c in range(1, p):
+                y = G.mul(y, b)
+                coords[y] = v + (c,)
     out = []
-    for f in _functionals(d, p):
-        kernel = [e for e in range(Q.n) if sum(a * b for a, b in zip(f, coords[e])) % p == 0]
-        if lift is None:
-            inner = kernel
-        else:
-            inner = lift.preimage(Subgroup(Q, kernel)).ids
-        out.append(Subgroup(G, frozenset(back[i] for i in inner)))
+    for f in product(range(p), repeat=len(coords[0])):
+        if next(filter(None, f), 0) != 1:
+            continue
+        kernel = [x for x, v in coords.items() if sum(map(mul, f, v)) % p == 0]
+        out.append(Subgroup(G, kernel))
     out.sort(key=lambda s: s.sorted_ids)
     return out
 

@@ -297,14 +297,37 @@ def test_readme_info_examples(capsys):
         assert code == 0, (desc, err)
 
 
-def test_console_script():
+def _child_env():
     # The child imports the same gpi as this test, installed or not.
     src = str(Path(gpi.__file__).resolve().parent.parent)
     path = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+
+def test_console_script():
     proc = subprocess.run(
         [sys.executable, "-m", "gpi.cli", "info", "Q8"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "order 8" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_exits_2(unbuffered):
+    # Unbuffered, print itself fails; buffered, the failure waits for a flush.
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpi.cli", "info", "S4", "--json"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr

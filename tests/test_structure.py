@@ -101,6 +101,13 @@ def test_normal_closure(s4):
     assert normal_closure(s4, [dd]).order == 4
     assert normal_closure(s4, [r3]).order == 12
     assert normal_closure(s4, []).is_trivial
+    # Inside D8 = <(0 1 2 3), (0 2)> the reflection (0 2) is conjugate only to
+    # (1 3); with nothing to conjugate by, the closure is <(0 2)>.
+    r4 = s4.id_of_perm(cyc(4, [(0, 1, 2, 3)]))
+    t02 = s4.id_of_perm(cyc(4, [(0, 2)]))
+    t13 = s4.id_of_perm(cyc(4, [(1, 3)]))
+    assert normal_closure(s4, [t02], by=[r4, t02]).ids == closure_ids(s4, [t02, t13])
+    assert normal_closure(s4, [t02], by=[]).order == 2
 
 
 def test_derived_subgroup_chain(s4):

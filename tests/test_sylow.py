@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from gpi.arith import p_part
-from gpi.catalog import build_group
+from gpi.catalog import build_group, from_description
 from gpi.groups import LimitExceeded, Subgroup, closure_ids, recognize_small
-from gpi.structure import p_prime_residual
+from gpi.structure import derived_subgroup, frattini_subgroup_of_p_subgroup, p_prime_residual
 from gpi.sylow import (
     all_subgroups,
     cyclic_subgroups_of_order,
@@ -109,13 +109,29 @@ def test_two_minimal_counts():
     assert len(two_minimal_subgroups(uv, 5)) == 806
 
 
+# 3^2:3, the Heisenberg group mod 3: C3 acts on C3^2 (6 points) by
+# e1 -> e1, e2 -> e1 + e2.
+HEISENBERG_3 = {
+    "type": "semidirect",
+    "normal": {"type": "perm", "degree": 6, "generators": [[[0, 1, 2]], [[3, 4, 5]]]},
+    "quotient": "C3",
+    "action": [[[[0, 1, 2]], [[0, 1, 2], [3, 4, 5]]]],
+}
+
+# (group, p) pairs: the 2-groups plus odd p, where the walk's mod-p step
+# and the functional enumeration go beyond GF(2).
+P_GROUPS = [
+    *((name, 2) for name in ["D8", "Q8", "D16", "SD16", "M16", "Q16", "C8", "C4xC2",
+                             "C2^4", "C2xD8"]),
+    ("C3^2", 3), ("C9", 3), ("C5^2", 5), (HEISENBERG_3, 3),
+]
+
+
 def test_maximal_subgroups_against_brute():
-    for name in ["D8", "Q8", "D16", "SD16", "M16", "Q16", "C8", "C4xC2", "C2^4", "C2xD8"]:
-        G = build_group(name)
-        P = G.full_subgroup()
-        got = {H.ids for H in maximal_subgroups_of_p_group(P)}
-        want = brute_subgroups_of_order(G, G.n // 2)
-        assert got == want, name
+    for desc, p in P_GROUPS:
+        G = from_description(desc)
+        got = {H.ids for H in maximal_subgroups_of_p_group(G.full_subgroup())}
+        assert got == brute_subgroups_of_order(G, G.n // p), desc
 
 
 def test_maximal_subgroup_counts():
@@ -132,12 +148,42 @@ def test_maximal_subgroups_reject_mixed_order():
         maximal_subgroups_of_p_group(G.full_subgroup())
 
 
+# 5^3:5 of order 625, exponent 5 and class 3: C5 acts on C5^3 by the
+# unipotent Jordan block e1 -> e1, e2 -> e1 + e2, e3 -> e2 + e3.
+CLASS_3_EXPONENT_5 = {
+    "type": "semidirect",
+    "name": "5^3:5",
+    "normal": {"type": "perm", "degree": 15,
+               "generators": [[[0, 1, 2, 3, 4]], [[5, 6, 7, 8, 9]], [[10, 11, 12, 13, 14]]]},
+    "quotient": "C5",
+    "action": [[[[0, 1, 2, 3, 4]], [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]],
+                [[5, 6, 7, 8, 9], [10, 11, 12, 13, 14]]]],
+}
+
+
+@pytest.mark.parametrize("handle", ["full", "sylow"])
+def test_frattini_and_maximals_ignore_the_generating_list(handle):
+    # Phi(P) = P^5 [P, P] = P' here, since P has exponent 5; the commutators
+    # of a generating list, closed without conjugating them, give only part
+    # of P' in class 3.
+    G = from_description(CLASS_3_EXPONENT_5)
+    P = G.full_subgroup() if handle == "full" else sylow_subgroup(G, 5)
+    assert P.ids == frozenset(range(G.n))
+    phi = frattini_subgroup_of_p_subgroup(P, 5)
+    assert phi.order == 25
+    assert phi == derived_subgroup(G)
+    maxes = maximal_subgroups_of_p_group(P)
+    assert len(maxes) == 6
+    for M in maxes:
+        assert M.index == 5 and phi <= M
+        assert closure_ids(G, M.gens) == M.ids
+
+
 def test_two_maximal_against_brute():
-    for name in ["D8", "Q8", "D16", "SD16", "M16", "Q16", "C8", "C2^4", "C2xD8"]:
-        G = build_group(name)
+    for desc, p in P_GROUPS:
+        G = from_description(desc)
         got = {H.ids for H in two_maximal_subgroups_of_p_group(G.full_subgroup())}
-        want = brute_subgroups_of_order(G, G.n // 4)
-        assert got == want, name
+        assert got == brute_subgroups_of_order(G, G.n // (p * p)), desc
 
 
 def test_two_maximal_counts():
