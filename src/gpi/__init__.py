@@ -1,11 +1,12 @@
 """Finite-group engine for chief-series subgroup criteria.
 
 Permutation and table groups with a small structure library (Sylow
-subgroups, chief series, formations) drive one central question: does a
-subgroup admit a chief series on which every factor passes the
-normalizer-index test?  `satisfies_partial_pi` answers it with a
-replayable witness or refusal, and `verify_theorem`/`run_corpus` sweep
-the structural theorems built on that property over concrete groups.
+subgroups, chief series, the p-hypercyclic hypercentre) drive one
+central question: does a subgroup admit a chief series on which every
+factor passes the normalizer-index test?  `satisfies_partial_pi`
+answers it with a replayable witness or refusal, and
+`verify_theorem`/`run_corpus` sweep the structural theorems built on
+that property over concrete groups.
 """
 
 from .arith import is_pi_number, is_prime, p_part, prime_set
@@ -15,9 +16,8 @@ from .catalog import (
     corpus_names,
     from_description,
     group_names,
-    two_group_names,
 )
-from .formations import Formation, U, Up, f_hypercenter, is_factor_central
+from .formations import f_hypercenter
 from .groups import (
     FiniteGroup,
     LimitExceeded,
@@ -87,12 +87,10 @@ __all__ = [
     "FactorCheck",
     "FiniteGroup",
     "fitting_subgroup",
-    "Formation",
     "frattini_subgroup_of_p_subgroup",
     "from_description",
     "group_names",
     "hypercenter",
-    "is_factor_central",
     "is_p_soluble",
     "is_p_supersoluble",
     "is_pi_number",
@@ -127,11 +125,8 @@ __all__ = [
     "TableGroup",
     "THEOREM_IDS",
     "TheoremReport",
-    "two_group_names",
     "two_maximal_subgroups_of_p_group",
     "two_minimal_subgroups",
-    "U",
-    "Up",
     "verify_all",
     "verify_theorem",
     "witness_series_through",

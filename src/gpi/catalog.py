@@ -194,10 +194,6 @@ def corpus_names() -> list[str]:
     return [n for n, e in _ENTRIES.items() if "corpus" in e.tags]
 
 
-def two_group_names() -> list[str]:
-    return [n for n, e in _ENTRIES.items() if "2-group" in e.tags]
-
-
 def build_group(name: str, fresh: bool = False) -> FiniteGroup:
     entry = _ENTRIES.get(name)
     if entry is None:

@@ -55,20 +55,6 @@ def centre(G: FiniteGroup) -> Subgroup:
     return centralizer(G, G.reduced_generator_ids())
 
 
-def factor_centralizer(G: FiniteGroup, L: Subgroup, K: Subgroup) -> Subgroup:
-    """C_G(L/K): elements whose commutator with all of L falls into K.
-
-    K must be normal in G and contained in L; generators of L then suffice.
-    """
-    if not K <= L:
-        raise ValueError("K must be contained in L")
-    kids, lgens = K.ids, L.gens
-    return Subgroup(
-        G,
-        (g for g in range(G.n) if all(G.commutator(g, m) in kids for m in lgens)),
-    )
-
-
 def normal_closure(G: FiniteGroup, seed_ids, by=None) -> Subgroup:
     """Smallest subgroup containing the seeds and closed under conjugation
     by the elements of `by` (default: G's reduced generators, giving the

@@ -92,23 +92,23 @@ def cyclic_subgroups_of_order(X, k: int) -> list[Subgroup]:
 def two_minimal_subgroups(X, p: int) -> list[Subgroup]:
     """The subgroups of order p*p of X: cyclic ones from elements of
     order p*p, elementary ones from commuting pairs of order-p lines.
+
+    Each elementary plane is built once, from the first pair of its p + 1
+    lines; a later pair is skipped when its second generator already
+    lies in a plane built through the first line.
     """
     G, sub = _ambient(X)
-    seen: set[frozenset[int]] = set()
-    out: list[Subgroup] = []
-    for H in cyclic_subgroups_of_order(sub, p * p):
-        if H.ids not in seen:
-            seen.add(H.ids)
-            out.append(H)
+    out = cyclic_subgroups_of_order(sub, p * p)
     lines = cyclic_subgroups_of_order(sub, p)
-    for A, B in combinations(lines, 2):
+    line_of = {x: i for i, L in enumerate(lines) for x in L.ids if x}
+    covered: list[set[int]] = [set() for _ in lines]  # planes built through each line
+    for (i, A), (_, B) in combinations(enumerate(lines), 2):
         a, b = A.gens[0], B.gens[0]
-        if G.mul(a, b) != G.mul(b, a):
+        if b in covered[i] or G.mul(a, b) != G.mul(b, a):
             continue
         ids = frozenset(G.mul(x, y) for x in A.ids for y in B.ids)
-        if len(ids) != p * p or ids in seen:
-            continue
-        seen.add(ids)
+        for k in {line_of[x] for x in ids if x}:
+            covered[k] |= ids
         out.append(Subgroup(G, ids, gens=[a, b]))
     out.sort(key=lambda s: s.sorted_ids)
     return out

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arith import p_part, prime_set
-from .formations import Up, f_hypercenter
+from .formations import f_hypercenter
 from .groups import FiniteGroup, LimitExceeded, Subgroup, recognize_small
 from .partialpi import satisfies_partial_pi
 from .series import hypercenter, is_p_soluble, normal_subgroups, p_length
-from .structure import centralizer, p_residual
+from .structure import p_residual
 from .sylow import (
     cyclic_subgroups_of_order,
     is_quaternion_free,
@@ -124,7 +124,11 @@ def _minimal_cyclic_family(G: FiniteGroup, P: Subgroup, p: int) -> list[Subgroup
 
 def verify_t11(G: FiniteGroup, exhaustive: bool = False, primes=None, normal_only=None) -> TheoremReport:
     """Normal E whose Sylow p-subgroup has all maximal subgroups with the
-    property: E lies in the U_p-hypercenter or |E| has p-part exactly p."""
+    property: E lies in the U_p-hypercentre or |E| has p-part exactly p.
+
+    Z_{U_p}(G) is the p-hypercyclic hypercentre (`f_hypercenter`), as in
+    t12: every G-chief factor below it of order divisible by p has
+    order p."""
     rep = TheoremReport("t11", LABELS["t11"], G.name)
     for E in _normals(G, normal_only):
         for p in _primes(E.order, primes):
@@ -135,7 +139,7 @@ def verify_t11(G: FiniteGroup, exhaustive: bool = False, primes=None, normal_onl
             if hyp or exhaustive:
                 concl = (
                     p_part(E.order, p) == p
-                    or E.ids <= f_hypercenter(G, Up(p)).ids
+                    or E.ids <= f_hypercenter(G, p).ids
                 )
             rep.details.append(
                 {"p": p, "E": E.order, "family": len(family), "checked": checked,
@@ -147,7 +151,15 @@ def verify_t11(G: FiniteGroup, exhaustive: bool = False, primes=None, normal_onl
 def verify_t12(G: FiniteGroup, exhaustive: bool = False, primes=None, normal_only=None) -> TheoremReport:
     """Normal E whose Sylow p-subgroup has all cyclic subgroups of order p
     (and of order 4, if that Sylow has a quaternion section) with the
-    property: E lies in the U_p-hypercenter."""
+    property: E lies in the U_p-hypercentre.
+
+    Z_{U_p}(G) is the p-hypercyclic hypercentre of the partial-Pi
+    literature (`f_hypercenter`): every G-chief factor below it of order
+    divisible by p has order p, and p'-factors are unrestricted.  The
+    Doerk-Hawkes reading also asks G/C_G(M/K) to be p-supersoluble for
+    a p'-factor; under it the theorem fails on ASL(2,3) = 3^2:SL(2,3)
+    with p = 2 and |E| = 18, whose family <-I> has the property while
+    G/C_G(3^2) = SL(2,3) is not 2-supersoluble."""
     rep = TheoremReport("t12", LABELS["t12"], G.name)
     for E in _normals(G, normal_only):
         for p in _primes(E.order, primes):
@@ -156,7 +168,7 @@ def verify_t12(G: FiniteGroup, exhaustive: bool = False, primes=None, normal_onl
             hyp, checked = _family_all_satisfy(G, family, exhaustive)
             concl = None
             if hyp or exhaustive:
-                concl = E.ids <= f_hypercenter(G, Up(p)).ids
+                concl = E.ids <= f_hypercenter(G, p).ids
             rep.details.append(
                 {"p": p, "E": E.order, "family": len(family), "checked": checked,
                  "hypothesis": hyp, "conclusion": concl}
@@ -262,7 +274,7 @@ def verify_l214(G: FiniteGroup, exhaustive: bool = False, primes=None) -> Theore
             if P.order == 1 or p_part(P.order, p) != P.order:
                 continue
             left = P.ids <= hypercenter(G).ids
-            right = res.ids <= centralizer(G, P.gens).ids
+            right = all(G.mul(a, b) == G.mul(b, a) for a in res.gens for b in P.gens)
             rep.details.append(
                 {"p": p, "order": P.order, "left": left, "right": right,
                  "hypothesis": True, "conclusion": left == right}

@@ -52,13 +52,21 @@ def brute_all_subgroups(G: FiniteGroup, max_order: int | None = None) -> set[fro
 
 
 def brute_conjugacy_classes(G: FiniteGroup) -> list[frozenset]:
-    """Conjugacy classes by conjugating every element with every element."""
+    """Conjugacy classes as orbits under conjugation by the generators
+    (every element is a product of generators), in order of least member."""
     left = set(range(G.n))
     out = []
     while left:
         a = min(left)
-        cls = frozenset(G.conj(a, g) for g in range(G.n))
-        out.append(cls)
+        cls = {a}
+        todo = [a]
+        for x in todo:  # grows while it is walked
+            for g in G.generator_ids:
+                y = G.conj(x, g)
+                if y not in cls:
+                    cls.add(y)
+                    todo.append(y)
+        out.append(frozenset(cls))
         left -= cls
     return out
 
@@ -107,18 +115,43 @@ def brute_subgroups_of_order(G: FiniteGroup, k: int) -> set[frozenset]:
     return {H for H in brute_all_subgroups(G) if len(H) == k}
 
 
+def brute_span(G: FiniteGroup, seeds) -> frozenset:
+    """The subgroup generated by the seeds: a breadth-first walk from the
+    identity by right multiplication with the seeds kept so far, redone
+    each time a seed outside the current span is kept.  Near linear in
+    the result, where `brute_closure` (the reference for `closure_ids`)
+    is quadratic."""
+    kept: list[int] = []
+    span = frozenset((0,))
+    for s in seeds:
+        if s in span:
+            continue
+        kept.append(s)
+        els = {0}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for g in kept:
+                    b = G.mul(a, g)
+                    if b not in els:
+                        els.add(b)
+                        nxt.append(b)
+            frontier = nxt
+        span = frozenset(els)
+    return span
+
+
 def brute_normal_lattice(G: FiniteGroup) -> set[frozenset]:
     """Normal subgroups as joins of single-class closures.
 
     Every normal subgroup is the join of the normal closures of its
-    conjugacy classes, so closing the class closures under products
-    (products of normal subgroups are subgroups) finds them all without
-    the power-set scan of `brute_normal_subgroups`.
+    conjugacy classes, so closing the class closures under joins finds
+    them all without the power-set scan of `brute_normal_subgroups`.
+    Classes, closures and joins are walked from the generators, so the
+    cost stays near linear in the group order.
     """
-    full = frozenset(range(G.n))
-    base = set()
-    for cls in brute_conjugacy_classes(G):
-        base.add(brute_closure(G, cls))
+    base = {brute_span(G, cls) for cls in brute_conjugacy_classes(G)}
     lattice = {frozenset((0,))} | base
     frontier = list(base)
     while frontier:
@@ -127,10 +160,7 @@ def brute_normal_lattice(G: FiniteGroup) -> set[frozenset]:
             for B in base:
                 if B <= A:
                     continue
-                if A == full or B == full:
-                    join = full
-                else:
-                    join = frozenset(G.mul(a, b) for a in A for b in B)
+                join = brute_span(G, A | B)
                 if join not in lattice:
                     lattice.add(join)
                     fresh.append(join)
@@ -307,18 +337,55 @@ def brute_socle(G: FiniteGroup) -> frozenset:
     return brute_closure(G, seed)
 
 
+def brute_p_hypercyclic_hypercenter(G: FiniteGroup, p: int, normals=None) -> frozenset:
+    """The largest normal N reached from 1 by a covering chain of the
+    normal lattice whose every step has order prime to p or equal to p.
+
+    Walks the lattice in order of size, so each N is tried against every
+    member below it that was already reached.  Also checks that the
+    largest one contains every other, as the p-hypercyclic hypercentre
+    must.
+    """
+    if normals is None:
+        normals = brute_normal_lattice(G)
+    normals = sorted(normals, key=len)
+    reached = [normals[0]]
+    for N in normals[1:]:
+        for M in reached:
+            if not M < N or any(M < W < N for W in normals):
+                continue
+            v = len(N) // len(M)
+            if v % p or v == p:
+                reached.append(N)
+                break
+    top = max(reached, key=len)
+    assert all(N <= top for N in reached), "reached subgroups have no largest member"
+    return top
+
+
+def brute_factor_centralizer(G: FiniteGroup, L: Subgroup, K: Subgroup) -> frozenset:
+    """C_G(L/K) by a scan of G: the g whose commutator with each generator
+    of L falls into K.  K must be normal in G and contained in L; then g
+    acts on L/K as an automorphism, so generators of L suffice."""
+    if not K.ids <= L.ids:
+        raise ValueError("K must be contained in L")
+    kids, lgens = K.ids, L.gens
+    return frozenset(
+        g for g in range(G.n) if all(G.commutator(g, m) in kids for m in lgens)
+    )
+
+
 def is_factor_central_literal(
-    G: FiniteGroup, K: Subgroup, M: Subgroup, f, bound: int = 5000
+    G: FiniteGroup, K: Subgroup, M: Subgroup, p: int, bound: int = 5000
 ) -> bool:
-    """The definition verbatim: build (M/K) acted on by G/C_G(M/K) and
-    test membership in the formation f.  Pins `is_factor_central`."""
+    """Doerk-Hawkes U_p-centrality verbatim: build (M/K) acted on by
+    G/C_G(M/K) and test whether it is p-supersoluble."""
     from gpi.groups import LimitExceeded, semidirect_product
-    from gpi.series import minimal_normal_overgroups
-    from gpi.structure import factor_centralizer
+    from gpi.series import is_p_supersoluble, minimal_normal_overgroups
 
     if M not in minimal_normal_overgroups(G, K):
         raise ValueError("the pair is not a chief factor")
-    C = factor_centralizer(G, M, K)
+    C = brute_factor_centralizer(G, M, K)
     if K.is_trivial:
         V, vmap = M.as_group()
         back = sorted(M.ids)
@@ -341,16 +408,16 @@ def is_factor_central_literal(
         def to_ambient(i: int) -> int:
             return pr1.index(back[i])
 
-    if C.is_full:
-        return f.contains(V)
-    size = V.n * (G.n // C.order)
+    if len(C) == G.n:
+        return is_p_supersoluble(V, p)
+    size = V.n * (G.n // len(C))
     if size > bound:
         raise LimitExceeded(f"literal centrality product has order {size} > {bound}")
-    Q2, pr2 = brute_quotient(G, C.ids)
+    Q2, pr2 = brute_quotient(G, C)
     vgens_ambient = [to_ambient(i) for i in V.generator_ids]
     rows = []
     for w in Q2.generator_ids:
         g_inv = G.inv(pr2.index(w))
         rows.append([to_v(G.conj(a, g_inv)) for a in vgens_ambient])
     S = semidirect_product(V, Q2, rows, name=f"({M.order}/{K.order}):{Q2.n}")
-    return f.contains(S)
+    return is_p_supersoluble(S, p)

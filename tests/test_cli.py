@@ -331,3 +331,38 @@ def test_closed_stdout_pipe_exits_2(unbuffered):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "BrokenPipeError" not in proc.stderr
+
+
+_RESOLVE_LAYERS = """
+import importlib.util, json, sys
+import gpi, gpi.cli
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+targets, missing = 0, []
+for layer, homes in tracer.LAYERS.items():
+    for home, path in homes:
+        targets += 1
+        obj = sys.modules.get(home)
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(f"{layer}: {home}.{path}")
+print(json.dumps({"targets": targets, "missing": missing}))
+"""
+
+
+def test_tracer_layers_resolve_on_a_fresh_import():
+    # `perfbench/run.py --trace 1` wraps these functions after importing
+    # gpi and gpi.cli; a renamed or deleted one would break tracing only
+    # when it runs.
+    # -B keeps the load read-only: no bytecode is written next to tracer.py.
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _RESOLVE_LAYERS, str(tracer)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["missing"] == []
+    assert got["targets"] >= 27

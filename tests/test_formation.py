@@ -1,11 +1,12 @@
-"""Central chief factors and formation hypercenters."""
+"""The p-hypercyclic U_p-hypercentre and the Doerk-Hawkes reading it replaces."""
 
 from __future__ import annotations
 
 import pytest
 
+from gpi.arith import prime_set
 from gpi.catalog import build_group, corpus_names
-from gpi.formations import U, Up, Formation, f_hypercenter, is_factor_central
+from gpi.formations import f_hypercenter
 from gpi.groups import LimitExceeded
 from gpi.series import (
     is_p_supersoluble,
@@ -13,8 +14,12 @@ from gpi.series import (
     minimal_normal_overgroups,
     normal_subgroups,
 )
-from gpi.arith import prime_set
-from oracles import is_factor_central_literal
+from affine import AFFINE, affine_group
+from oracles import (
+    brute_normal_lattice,
+    brute_p_hypercyclic_hypercenter,
+    is_factor_central_literal,
+)
 
 
 def _chief_pairs(G):
@@ -25,39 +30,31 @@ def _chief_pairs(G):
             yield K, M
 
 
-def test_formation_validation():
-    assert U.label == "U"
-    assert Up(3).label == "U_3"
-    with pytest.raises(ValueError):
-        Formation("Up")
-    with pytest.raises(ValueError):
-        Formation("U", 2)
-    with pytest.raises(ValueError):
-        Formation("nilpotent")
-
-
 def test_membership_predicates():
-    assert U.contains(build_group("C12"))
-    assert U.contains(build_group("D8"))
-    assert not U.contains(build_group("S4"))
-    assert Up(3).contains(build_group("SL(2,3)"))
-    assert not Up(2).contains(build_group("SL(2,3)"))
-    assert not Up(5).contains(build_group("5^4:3"))
-    assert Up(3).contains(build_group("5^4:3"))
+    assert is_supersoluble(build_group("C12"))
+    assert is_supersoluble(build_group("D8"))
+    assert not is_supersoluble(build_group("S4"))
+    assert is_p_supersoluble(build_group("SL(2,3)"), 3)
+    assert not is_p_supersoluble(build_group("SL(2,3)"), 2)
+    assert not is_p_supersoluble(build_group("5^4:3"), 5)
+    assert is_p_supersoluble(build_group("5^4:3"), 3)
 
 
 def test_central_matches_literal_construction():
+    # On a factor of order divisible by p the two readings agree: central
+    # exactly when the order is p.  The climb reads p'-factors as central.
     names = ["S4", "A4", "SL(2,3)", "C12", "D8", "C3^2", "S3"]
-    formations = [U, Up(2), Up(3), Up(5)]
     compared = 0
     for name in names:
         G = build_group(name)
         for K, M in _chief_pairs(G):
-            for f in formations:
-                want = is_factor_central_literal(G, K, M, f)
-                assert is_factor_central(G, K, M, f) is want, (name, K.order, M.order, f.label)
-                compared += 1
-    assert compared >= 100
+            v = M.order // K.order
+            for p in (2, 3, 5):
+                if v % p == 0:
+                    want = v == p
+                    assert is_factor_central_literal(G, K, M, p) is want, (name, K.order, M.order, p)
+                    compared += 1
+    assert compared >= 30
 
 
 def test_central_matches_literal_on_big_factors():
@@ -66,13 +63,14 @@ def test_central_matches_literal_on_big_factors():
     K = minimal_normal_overgroups(G, triv)[0]
     UV = minimal_normal_overgroups(G, K)[0]
     assert UV.order == 625
-    for f in [U, Up(5), Up(3)]:
-        assert is_factor_central(G, triv, K, f) is is_factor_central_literal(G, triv, K, f)
-        assert is_factor_central(G, K, UV, f) is is_factor_central_literal(G, K, UV, f)
+    assert is_factor_central_literal(G, triv, K, 5) is False
+    assert is_factor_central_literal(G, K, UV, 5) is False
+    # Order-25 factors are 3'-factors acted on by C3: central either way.
+    assert is_factor_central_literal(G, triv, K, 3) is True
+    assert is_factor_central_literal(G, K, UV, 3) is True
     A5 = build_group("A5")
-    full = A5.full_subgroup()
-    assert is_factor_central(A5, A5.trivial_subgroup(), full, U) is False
-    assert is_factor_central_literal(A5, A5.trivial_subgroup(), full, U) is False
+    assert is_factor_central_literal(A5, A5.trivial_subgroup(), A5.full_subgroup(), 2) is False
+    assert f_hypercenter(A5, 2).is_trivial
 
 
 def test_literal_guards():
@@ -81,46 +79,48 @@ def test_literal_guards():
 
     a4 = p_prime_residual(S4, 3)
     with pytest.raises(ValueError):
-        is_factor_central_literal(S4, S4.trivial_subgroup(), a4, U)
+        is_factor_central_literal(S4, S4.trivial_subgroup(), a4, 2)
     S6 = build_group("S6")
     a6 = minimal_normal_overgroups(S6, S6.trivial_subgroup())[0]
     with pytest.raises(LimitExceeded):
-        is_factor_central_literal(S6, S6.trivial_subgroup(), a6, U, bound=5000)
+        is_factor_central_literal(S6, S6.trivial_subgroup(), a6, 2, bound=5000)
 
 
 def test_hypercenter_values():
     cases = [
-        ("S4", U, 1),
-        ("S4", Up(2), 1),
-        ("S4", Up(3), 24),
-        ("SL(2,3)", U, 2),
-        ("SL(2,3)", Up(2), 2),
-        ("SL(2,3)", Up(3), 24),
-        ("C12", U, 12),
-        ("D8", U, 8),
-        ("A5", U, 1),
-        ("A5", Up(2), 1),
-        ("5^4:3", Up(5), 1),
-        ("5^4:3", Up(3), 1875),
-        ("S6", U, 1),
+        ("S4", 2, 1),
+        ("S4", 3, 24),
+        ("SL(2,3)", 2, 2),
+        ("SL(2,3)", 3, 24),
+        ("A5", 2, 1),
+        ("5^4:3", 5, 1),
+        ("5^4:3", 3, 1875),
     ]
-    for name, f, order in cases:
+    for name, p, order in cases:
         G = build_group(name)
-        assert f_hypercenter(G, f).order == order, (name, f.label)
+        assert f_hypercenter(G, p).order == order, (name, p)
+    # 3^2:<-I> and 5^2:<scalars>: the p'-factor 3^2 (or 5^2) counts as
+    # central although G/C_G of it is not 2-supersoluble.
+    for name, p, order in [("ASL(2,3)", 2, 18), ("AGL(2,3)", 2, 18),
+                           ("ASL(2,3)", 3, 1), ("AGL(2,5)", 2, 100)]:
+        assert f_hypercenter(affine_group(name), p).order == order, (name, p)
 
 
 def test_hypercenter_full_iff_member():
     for name in corpus_names():
         G = build_group(name)
-        assert f_hypercenter(G, U).is_full is is_supersoluble(G), name
         for p in prime_set(G.n):
-            assert f_hypercenter(G, Up(p)).is_full is is_p_supersoluble(G, p), (name, p)
+            assert f_hypercenter(G, p).is_full is is_p_supersoluble(G, p), (name, p)
 
 
-def test_hypercenter_ignores_climb_order():
-    for name in ["S4", "D8", "Q8", "SL(2,3)", "C12", "C2^4", "A4", "5^4:3"]:
-        G = build_group(name)
-        for f in [U, Up(2), Up(3), Up(5)]:
-            a = f_hypercenter(G, f)
-            b = f_hypercenter(G, f, tie_reverse=True)
-            assert a.ids == b.ids, (name, f.label)
+def test_hypercenter_matches_brute_oracle():
+    groups = [(name, build_group(name)) for name in corpus_names()]
+    groups += [(name, affine_group(name)) for name in AFFINE]
+    compared = 0
+    for name, G in groups:
+        normals = brute_normal_lattice(G)
+        for p in prime_set(G.n):
+            want = brute_p_hypercyclic_hypercenter(G, p, normals)
+            assert f_hypercenter(G, p).ids == want, (name, p)
+            compared += 1
+    assert compared >= 34 + 7

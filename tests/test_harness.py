@@ -6,7 +6,7 @@ import pytest
 
 from gpi.catalog import build_group, corpus_names
 from gpi.groups import LimitExceeded
-from gpi.series import normal_subgroups
+from gpi.series import minimal_normal_overgroups, normal_subgroups
 from gpi import verify as verify_mod
 from gpi.verify import (
     CHECKERS,
@@ -16,6 +16,8 @@ from gpi.verify import (
     verify_all,
     verify_theorem,
 )
+from affine import AFFINE, affine_group
+from oracles import is_factor_central_literal
 
 
 def test_theorem_id_table():
@@ -153,3 +155,35 @@ def test_report_json_shape():
 
 def test_corpus_catalogue_is_big_enough():
     assert len(corpus_names()) >= 15
+
+
+@pytest.mark.parametrize("name", list(AFFINE))
+def test_t11_t12_hold_on_affine_groups(name):
+    # These groups have p'-chief factors on which G/C_G acts without being
+    # p-supersoluble, so they tell the two readings of Z_{U_p}(G) apart.
+    G = affine_group(name)
+    for tid in ("t11", "t12"):
+        rep = verify_theorem(tid, G)
+        assert rep.ok, (tid, rep.violations)
+        assert rep.hypothesis_true >= 1, tid
+
+
+def _doerk_hawkes_hypercenter(G, p):
+    """Z_{U_p}(G) under Doerk-Hawkes centrality: climb the chief factors
+    M/Z whose literal product with G/C_G(M/Z) is p-supersoluble."""
+    Z = G.trivial_subgroup()
+    while True:
+        for M in minimal_normal_overgroups(G, Z):
+            if is_factor_central_literal(G, Z, M, p):
+                Z = M
+                break
+        else:
+            return Z
+
+
+def test_t12_fails_on_asl23_under_the_doerk_hawkes_reading(monkeypatch):
+    # Negative control: <-I> has the property in 3^2:<-I>, but
+    # G/C_G(3^2) = SL(2,3) is not 2-supersoluble, so that hypercentre is 1.
+    monkeypatch.setattr(verify_mod, "f_hypercenter", _doerk_hawkes_hypercenter)
+    rep = verify_theorem("t12", affine_group("ASL(2,3)"))
+    assert [(d["p"], d["E"]) for d in rep.violations] == [(2, 18)]
