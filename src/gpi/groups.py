@@ -10,11 +10,18 @@ a subgroup is a canonical frozen set of ids.  All structural algorithms in the
 package are written once against that face.
 
 The orbit kernels read id tables built once per group and kept in `G.memo`,
-not products of single elements: one conjugation table per reduced
-generator (`conjugation_tables`) and one left-coset numbering per subgroup
-id-set a product or quotient is taken by (`left_cosets`).  Each table is a
-tuple of n ids, so callers cannot change what the memo holds.  No Cayley
-table is built.
+not products of single elements:
+
+- `conjugation_tables`: one table x -> g^-1 x g per reduced generator g,
+  n ids each;
+- `left_cosets`: one left-coset numbering per subgroup id-set a product,
+  quotient or factor check is taken by, n labels and one representative
+  per coset;
+- `coset_conjugation_tables`: for a normal subgroup K, one table per
+  reduced generator over the |G:K| coset numbers, read off the two above.
+
+Each table is a tuple, so callers cannot change what the memo holds.  No
+Cayley table is built.
 """
 
 from __future__ import annotations
@@ -208,6 +215,21 @@ class FiniteGroup:
                     labels[mul(g, m)] = c
                 reps.append(g)
         return tuple(labels), tuple(reps)
+
+    @memo
+    def coset_conjugation_tables(self, normal: frozenset) -> tuple[tuple[int, ...], ...]:
+        """For each reduced generator g, the table c -> g^-1 (xK) g over the
+        coset numbers of `left_cosets(normal)`, where K is a normal
+        subgroup's id-set and x the representative of coset c.
+
+        K is normal, so g^-1 (xK) g = (g^-1 x g)K: each entry is
+        labels[t[reps[c]]] for g's conjugation table t.  Costs |G:K|
+        lookups per generator and no products, once per group and K.
+        """
+        labels, reps = self.left_cosets(normal)
+        return tuple(
+            tuple([labels[t[r]] for r in reps]) for t in self.conjugation_tables()
+        )
 
     @memo
     def conjugacy_class_reps(self) -> list[int]:

@@ -7,11 +7,13 @@ the set of primes dividing |(HK meet M)/K|.  A trivial meet makes the
 factor pass vacuously: pi is empty and only the index 1 is an
 empty-pi-number.
 
-Everything is evaluated inside G.  With K normal and K <= M, the
-modular law gives HK meet M = (H meet M)K, and the preimage of the
-normalizer of (HK meet M)/K is the normalizer of HK meet M, so the
-index in the quotient equals the index in G.  No quotient group is
-ever materialised on this path.
+Each factor is evaluated on the K-cosets of G, as the definition reads
+it, with no quotient group materialised.  With K normal and K <= M, the
+modular law gives HK meet M = (H meet M)K, so the meet's image in G/K
+is the set of K-coset numbers that H meet M hits (`G.left_cosets`), and
+its normalizer orbit in G/K runs on those numbers through the coset
+conjugation tables of K (`G.coset_conjugation_tables`).  Over a trivial
+K the cosets are the ids themselves and the orbit runs on ids.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arith import is_pi_number, prime_set
-from .groups import FiniteGroup, Subgroup, is_normal, memo, product_ids
+from .groups import FiniteGroup, Subgroup, is_normal, memo
 from .series import ChiefSeries, minimal_normal_overgroups
 from .structure import normalizer_index
 
@@ -51,14 +53,31 @@ class FactorCheck:
 
 
 def factor_condition(G: FiniteGroup, H: Subgroup, K: Subgroup, M: Subgroup) -> FactorCheck:
-    """Test the factor M/K against H, entirely inside G."""
-    meet = product_ids(G, H.ids & M.ids, K.ids)
-    pi = prime_set(len(meet) // K.order)
-    if len(meet) == K.order or len(meet) == M.order:
-        # The meet is K or M itself; both are normal, so the index is 1.
-        return FactorCheck(K.order, M.order, len(meet), 1, pi, True)
-    idx = normalizer_index(G, meet)
-    return FactorCheck(K.order, M.order, len(meet), idx, pi, is_pi_number(idx, pi))
+    """Test the factor M/K against H on the K-cosets of G.
+
+    The meet (H meet M)K/K is read as the set of K-coset numbers that
+    H meet M hits, one lookup per element, so |meet| = cosets * |K| with
+    no id-set of that size built.  A meet equal to K or M is normal and
+    has index 1; any other meet gets its normalizer orbit in G/K.
+    """
+    hm = H.ids & M.ids
+    if K.is_trivial:
+        meet, modulus = hm, None
+    else:
+        labels = G.left_cosets(K.ids)[0]
+        meet, modulus = frozenset(map(labels.__getitem__, hm)), K.ids
+    meet_order = len(meet) * K.order
+    if meet_order == K.order or meet_order == M.order:
+        return _factor_check(G, K.order, M.order, meet_order, 1)
+    idx = normalizer_index(G, meet, modulus=modulus)
+    return _factor_check(G, K.order, M.order, meet_order, idx)
+
+
+@memo
+def _factor_check(G: FiniteGroup, k: int, m: int, meet: int, index: int) -> FactorCheck:
+    """The check with these orders and index, made once per group and value."""
+    pi = prime_set(meet // k)
+    return FactorCheck(k, m, meet, index, pi, is_pi_number(index, pi))
 
 
 @dataclass

@@ -17,17 +17,27 @@ def normalizer(G: FiniteGroup, sub: Subgroup) -> Subgroup:
     return Subgroup(G, (g for g in range(G.n) if all(G.conj(m, g) in ids for m in gens)))
 
 
-def normalizer_index(G: FiniteGroup, ids) -> int:
+def normalizer_index(G: FiniteGroup, ids, *, modulus: frozenset | None = None) -> int:
     """|G : N_G(H)| as the size of the conjugation orbit of H's id-set.
 
+    With `modulus` the id-set of a normal subgroup K <= H, `ids` are instead
+    the numbers of the K-cosets that make up H (as `G.left_cosets(modulus)`
+    numbers them), and the orbit runs on those through
+    `G.coset_conjugation_tables(modulus)`.  Since g^-1 (xK) g = (g^-1 x g)K,
+    that orbit is in bijection with the orbit of H's id-set, and its size
+    is |G/K : N_{G/K}(H/K)| = |G : N_G(H)|.
+
     This is the hot path of the factor checks: no normalizer is materialised,
-    and each orbit point costs one lookup per element of H in each of the
-    group's conjugation tables.
+    and each orbit point costs one lookup per element (or coset) of H in
+    each table.
     """
     if isinstance(ids, Subgroup):
         ids = ids.ids
     start = ids if isinstance(ids, frozenset) else frozenset(ids)
-    tables = G.conjugation_tables()
+    if modulus is None:
+        tables = G.conjugation_tables()
+    else:
+        tables = G.coset_conjugation_tables(modulus)
     seen = {start}
     frontier = [start]
     while frontier:

@@ -94,21 +94,23 @@ def two_minimal_subgroups(X, p: int) -> list[Subgroup]:
     order p*p, elementary ones from commuting pairs of order-p lines.
 
     Each elementary plane is built once, from the first pair of its p + 1
-    lines; a later pair is skipped when its second generator already
-    lies in a plane built through the first line.
+    lines; a later pair is skipped when its second line already lies in
+    a plane built through the first.  Coverage is kept as line numbers,
+    p + 1 per plane.
     """
     G, sub = _ambient(X)
     out = cyclic_subgroups_of_order(sub, p * p)
     lines = cyclic_subgroups_of_order(sub, p)
     line_of = {x: i for i, L in enumerate(lines) for x in L.ids if x}
-    covered: list[set[int]] = [set() for _ in lines]  # planes built through each line
-    for (i, A), (_, B) in combinations(enumerate(lines), 2):
+    covered: list[set[int]] = [set() for _ in lines]  # lines of planes built through each line
+    for (i, A), (j, B) in combinations(enumerate(lines), 2):
         a, b = A.gens[0], B.gens[0]
-        if b in covered[i] or G.mul(a, b) != G.mul(b, a):
+        if j in covered[i] or G.mul(a, b) != G.mul(b, a):
             continue
         ids = frozenset(G.mul(x, y) for x in A.ids for y in B.ids)
-        for k in {line_of[x] for x in ids if x}:
-            covered[k] |= ids
+        on = {line_of[x] for x in ids if x}
+        for k in on:
+            covered[k] |= on
         out.append(Subgroup(G, ids, gens=[a, b]))
     out.sort(key=lambda s: s.sorted_ids)
     return out

@@ -363,6 +363,25 @@ def brute_p_hypercyclic_hypercenter(G: FiniteGroup, p: int, normals=None) -> fro
     return top
 
 
+def brute_is_p_supersoluble(G: FiniteGroup, p: int) -> bool:
+    """Every chief factor of order divisible by p has order p.
+
+    Chief factor orders do not depend on the series (Jordan-Hoelder), so
+    one chain decides it: from each term, step to the smallest normal
+    subgroup above it in the brute normal lattice, which nothing normal
+    lies strictly between.
+    """
+    normals = sorted(brute_normal_lattice(G), key=len)
+    cur = normals[0]
+    while len(cur) < G.n:
+        nxt = next(N for N in normals if cur < N)
+        v = len(nxt) // len(cur)
+        if v % p == 0 and v != p:
+            return False
+        cur = nxt
+    return True
+
+
 def brute_factor_centralizer(G: FiniteGroup, L: Subgroup, K: Subgroup) -> frozenset:
     """C_G(L/K) by a scan of G: the g whose commutator with each generator
     of L falls into K.  K must be normal in G and contained in L; then g
@@ -376,14 +395,19 @@ def brute_factor_centralizer(G: FiniteGroup, L: Subgroup, K: Subgroup) -> frozen
 
 
 def is_factor_central_literal(
-    G: FiniteGroup, K: Subgroup, M: Subgroup, p: int, bound: int = 5000
+    G: FiniteGroup, K: Subgroup, M: Subgroup, p: int, bound: int = 5000, normals=None
 ) -> bool:
     """Doerk-Hawkes U_p-centrality verbatim: build (M/K) acted on by
-    G/C_G(M/K) and test whether it is p-supersoluble."""
+    G/C_G(M/K) and test whether it is p-supersoluble.  The chief-pair
+    guard and p-supersolubility are read off brute normal lattices;
+    `normals`, G's lattice, lets several calls on one group share it."""
     from gpi.groups import LimitExceeded, semidirect_product
-    from gpi.series import is_p_supersoluble, minimal_normal_overgroups
 
-    if M not in minimal_normal_overgroups(G, K):
+    if normals is None:
+        normals = brute_normal_lattice(G)
+    k_ids, m_ids = K.ids, M.ids
+    if (k_ids not in normals or m_ids not in normals or not k_ids < m_ids
+            or any(k_ids < W < m_ids for W in normals)):
         raise ValueError("the pair is not a chief factor")
     C = brute_factor_centralizer(G, M, K)
     if K.is_trivial:
@@ -409,7 +433,7 @@ def is_factor_central_literal(
             return pr1.index(back[i])
 
     if len(C) == G.n:
-        return is_p_supersoluble(V, p)
+        return brute_is_p_supersoluble(V, p)
     size = V.n * (G.n // len(C))
     if size > bound:
         raise LimitExceeded(f"literal centrality product has order {size} > {bound}")
@@ -420,4 +444,4 @@ def is_factor_central_literal(
         g_inv = G.inv(pr2.index(w))
         rows.append([to_v(G.conj(a, g_inv)) for a in vgens_ambient])
     S = semidirect_product(V, Q2, rows, name=f"({M.order}/{K.order}):{Q2.n}")
-    return is_p_supersoluble(S, p)
+    return brute_is_p_supersoluble(S, p)

@@ -160,6 +160,19 @@ def test_conjugation_tables_match_conj():
             assert list(t) == [G.conj(x, g) for x in range(G.n)]
 
 
+def test_coset_conjugation_tables_match_conj():
+    # Each entry is the coset of g^-1 x g for the coset's representative x.
+    rerooted, _ = sylow_subgroup(s4(), 2).as_group()
+    for G in (s4(), build_group("5^4:3"), rerooted):
+        gens = G.reduced_generator_ids()
+        for N in normal_subgroups(G):
+            labels, reps = G.left_cosets(N.ids)
+            tables = G.coset_conjugation_tables(N.ids)
+            assert len(tables) == len(gens)
+            for t, g in zip(tables, gens):
+                assert list(t) == [labels[G.conj(r, g)] for r in reps]
+
+
 def test_product_ids_matches_brute_products():
     G = s4()
     v4 = G.generated(
@@ -196,11 +209,13 @@ def test_id_tables_are_read_only_and_shared():
     v4 = normal_subgroups(G)[1]
     tables = G.conjugation_tables()
     labels, reps = G.left_cosets(v4.ids)
-    for table in (*tables, labels, reps):
+    cosets = G.coset_conjugation_tables(v4.ids)
+    for table in (*tables, labels, reps, cosets, *cosets):
         with pytest.raises(TypeError):
             table[0] = 1
     assert G.conjugation_tables() is tables
     assert G.left_cosets(v4.ids)[0] is labels
+    assert G.coset_conjugation_tables(v4.ids) is cosets
     assert quotient(G, v4)[1].labels is labels
 
 
@@ -453,13 +468,25 @@ def _s4_ways():
     return [V4S3, _symmetric_table(4), quotient(S4xC2, Subgroup(S4xC2, (0, 1)))[0]]
 
 
-@pytest.mark.parametrize("name,ways", [("S3", _s3_ways), ("S4", _s4_ways)])
+def s4xc2():
+    # Two generators keep the isomorphism search at 48^2 image pairs.
+    return PermGroup([cyc(6, [(0, 1, 2), (4, 5)]), cyc(6, [(0, 1, 2, 3)])], name="S4xC2")
+
+
+def _s4xc2_ways():
+    return [direct_product(s4(), cn_table(2))]
+
+
+@pytest.mark.parametrize(
+    "name,ways", [("S3", _s3_ways), ("S4", _s4_ways), ("S4xC2", _s4xc2_ways)]
+)
 def test_backends_agree_under_isomorphism(name, ways):
-    # The catalog permutation group against a semidirect product, a product
-    # table and a quotient: every subgroup carried over by an isomorphism gets
-    # the same verdict, and a witness the same factor checks.  Every subgroup
-    # of S3 is witnessed; S4 adds refusals (9 of its 30 subgroups).
-    G = build_group(name)
+    # A permutation group against a semidirect product, a product table and
+    # a quotient: every subgroup carried over by an isomorphism gets the same
+    # verdict, and a witness the same factor checks.  Every subgroup of S3 is
+    # witnessed; S4 adds refusals (9 of its 30 subgroups); S4xC2 has several
+    # chief series and factors over a nontrivial K on both backends.
+    G = s4xc2() if name == "S4xC2" else build_group(name)
     subgroups = all_subgroups(G)
     want = [satisfies_partial_pi(G, H) for H in subgroups]
     for X in ways():

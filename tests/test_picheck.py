@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import pytest
 
+from gpi.arith import is_pi_number, prime_set
 from gpi.catalog import build_group
+from gpi.groups import Subgroup, direct_product
 from gpi.partialpi import (
     FactorCheck,
     PiRefusal,
@@ -24,7 +26,7 @@ from gpi.sylow import (
     two_minimal_subgroups,
 )
 
-from oracles import brute_partial_pi
+from oracles import brute_normal_lattice, brute_normalizer, brute_partial_pi
 
 
 def test_factor_condition_shortcut_branches():
@@ -43,6 +45,52 @@ def test_factor_condition_shortcut_branches():
     dt = next(H for H in cyclic_subgroups_of_order(S4, 2) if H.ids <= v4.ids)
     fc = factor_condition(S4, dt, triv, v4)
     assert not fc.passed and fc.index == 3 and fc.pi == (2,)
+
+
+def _reference_checks(G, population, keep=lambda K, M: True):
+    """factor_condition's values at the id level, on the chief pairs (K, M)
+    of the brute normal lattice that `keep` admits: the meet as the
+    products hk (h in H meet M, k in K), its index as n / |brute
+    normalizer|, and index 1 when the meet is itself in the lattice.
+    Yields (H, K, M, FactorCheck)."""
+    normals = brute_normal_lattice(G)
+    pairs = [(K, M) for K in normals for M in normals
+             if K < M and not any(K < W < M for W in normals) and keep(K, M)]
+    index: dict[frozenset, int] = {}
+    for H in population:
+        for K, M in pairs:
+            meet: set[int] = set()
+            for h in H.ids & M:
+                if h not in meet:  # else hK is already in
+                    meet.update(G.mul(h, k) for k in K)
+            meet = frozenset(meet)
+            if meet not in index:
+                normal = meet in normals
+                index[meet] = 1 if normal else G.n // len(brute_normalizer(G, meet))
+            pi = prime_set(len(meet) // len(K))
+            idx = index[meet]
+            want = FactorCheck(len(K), len(M), len(meet), idx, pi, is_pi_number(idx, pi))
+            yield H, Subgroup(G, K), Subgroup(G, M), want
+
+
+def test_factor_condition_matches_id_level_reference():
+    s4xc2 = direct_product(build_group("S4"), build_group("C2"))
+    cases = [(G, all_subgroups(G), lambda K, M: True)
+             for G in (build_group("GL(2,3)"), s4xc2)]
+    # On 5^4:3, every pair out of 1 and out of the order-625 term, and the
+    # pair above one of the 26 order-25 terms: the brute normalizer of each
+    # order-125 meet above it scans all of G once per element.
+    G = build_group("5^4:3")
+    P = sylow_subgroup(G, 5)
+    K0 = minimal_normal_subgroups(G)[0].ids
+    cases.append((G, cyclic_subgroups_of_order(P, 5) + two_minimal_subgroups(P, 5)
+                  + [P, sylow_subgroup(G, 3)], lambda K, M: len(K) != 25 or K == K0))
+    for G, population, keep in cases:
+        deep = 0  # non-shortcut checks above a nontrivial K
+        for H, K, M, want in _reference_checks(G, population, keep):
+            assert factor_condition(G, H, K, M) == want, (G, H, K.order, M.order)
+            deep += not K.is_trivial and want.meet_order not in (want.k_order, want.m_order)
+        assert deep > 0, G
 
 
 def test_a5_klein_four_refused():
