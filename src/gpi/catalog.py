@@ -221,7 +221,7 @@ def from_description(desc) -> FiniteGroup:
     {"type": "perm", "degree": int, "generators": [cycle lists]};
     {"type": "semidirect", "normal": desc, "quotient": desc, "action":
     [cycle lists per quotient generator, one image per normal generator]}.
-    A missing key is reported with its path, such as `normal.generators`.
+    A missing key or a non-string "name" is reported with its path (`normal.name`).
     """
     return _from_description(desc, "")
 
@@ -237,6 +237,12 @@ def _from_description(desc, where: str) -> FiniteGroup:
         if key not in desc:
             raise ValueError(f"group description has no key {where + key!r}")
         return desc[key]
+
+    def name(default: str) -> str:
+        got = desc.get("name", default)
+        if not isinstance(got, str):
+            raise ValueError(f"{where}name must be a string, got {got!r}")
+        return got
 
     kind = desc.get("type")
     if kind == "catalog":
@@ -254,7 +260,7 @@ def _from_description(desc, where: str) -> FiniteGroup:
                 f"degree {degree} exceeds the ceiling {DEFAULT_LIMITS.max_degree}"
             )
         gens = [cyc(degree, g) for g in _cycle_lists(get("generators"), where + "generators")]
-        return PermGroup(gens, degree=degree, name=desc.get("name", f"perm{degree}"))
+        return PermGroup(gens, degree=degree, name=name(f"perm{degree}"))
     if kind == "semidirect":
         N = _from_description(get("normal"), where + "normal.")
         Q = _from_description(get("quotient"), where + "quotient.")
@@ -265,5 +271,5 @@ def _from_description(desc, where: str) -> FiniteGroup:
             raise ValueError("action must be a list of rows, one per quotient generator")
         action = [[cyc(N.degree, img) for img in _cycle_lists(row, where + "action rows")]
                   for row in action]
-        return semidirect_product(N, Q, action, name=desc.get("name", f"{N.name}:{Q.name}"))
+        return semidirect_product(N, Q, action, name=name(f"{N.name}:{Q.name}"))
     raise ValueError(f"unknown group description type {kind!r}")

@@ -3,7 +3,9 @@
 The lattice is generated from principal normal closures (one per conjugacy
 class) and memoised on the group handle, as are the minimal normal overgroups
 of each visited subgroup; those are the successor moves of every series walk
-in the package.
+in the package.  The characteristic subgroups read off the lattice (the
+hypercentre, the p- and p'-cores, the terms of the upper p-series) are
+climbs along those chief steps (`climb`), with no quotient group formed.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import factorize, is_prime, p_part
-from .groups import FiniteGroup, Subgroup, is_normal, memo, product_ids, quotient
-from .structure import centre, normal_closure
+from .groups import FiniteGroup, Subgroup, is_normal, memo, product_ids
+from .structure import normal_closure
 
 
 @memo
@@ -133,6 +135,29 @@ def chief_factors(G: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
     return one_chief_series(G).factors()
 
 
+def climb(G: FiniteGroup, Z: Subgroup, step) -> Subgroup:
+    """From the normal subgroup Z, take any chief step M/Z with
+    `step(Z, M)` until none is left; return the last term.
+
+    Let `step` depend only on the G-isomorphism class of M/Z, and let T be
+    the largest normal subgroup over the start whose G-chief factors above
+    the start all pass (the hypercentre, a core).  Then the climb ends at
+    T, whichever steps it takes.  A passing step M/Z from a term Z inside
+    T stays inside it: otherwise TM/T is G-isomorphic to M/Z, so TM would
+    be a larger subgroup of the same kind.  Below T a passing step always
+    exists: by Jordan-Holder for G-chief series, the factors of a chief
+    series from the start through Z up to T are G-isomorphic to those of
+    one inside T, so all pass, the first one out of Z included.
+    """
+    while True:
+        for M in minimal_normal_overgroups(G, Z):
+            if step(Z, M):
+                Z = M
+                break
+        else:
+            return Z
+
+
 # -- series-driven predicates.  Factor orders are series-independent, so one
 # -- deterministic series decides each of these.
 
@@ -156,28 +181,22 @@ def is_p_supersoluble(G: FiniteGroup, p: int) -> bool:
     return all(k % p or k == p for k in one_chief_series(G).factor_orders())
 
 
-def p_core(G: FiniteGroup, p: int) -> Subgroup:
-    """O_p(G): the largest normal p-subgroup, read off the lattice."""
+def _core_steps(p: int) -> dict:
+    """The climb steps of O_{p'} (|M/Z| prime to p) and of O_p (|M/Z| a power of p)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    members = [N for N in normal_subgroups(G) if factorize(N.order).keys() <= {p}]
-    top = max(members, key=lambda N: N.order)
-    bad = [N for N in members if not N <= top]
-    if bad:
-        raise RuntimeError("normal p-subgroups are not directed; lattice corrupt?")
-    return top
+    return {"p'": lambda Z, M: (M.order // Z.order) % p != 0,
+            "p": lambda Z, M: p_part(M.order // Z.order, p) == M.order // Z.order}
+
+
+def p_core(G: FiniteGroup, p: int) -> Subgroup:
+    """O_p(G): the largest normal p-subgroup, climbed through p-steps."""
+    return climb(G, G.trivial_subgroup(), _core_steps(p)["p"])
 
 
 def p_prime_core(G: FiniteGroup, p: int) -> Subgroup:
     """O_{p'}(G): the largest normal subgroup of order prime to p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    members = [N for N in normal_subgroups(G) if N.order % p]
-    top = max(members, key=lambda N: N.order)
-    bad = [N for N in members if not N <= top]
-    if bad:
-        raise RuntimeError("normal p'-subgroups are not directed; lattice corrupt?")
-    return top
+    return climb(G, G.trivial_subgroup(), _core_steps(p)["p'"])
 
 
 def fitting_subgroup(G: FiniteGroup) -> Subgroup:
@@ -197,15 +216,11 @@ def socle(G: FiniteGroup) -> Subgroup:
 
 @memo
 def hypercenter(G: FiniteGroup) -> Subgroup:
-    """Top of the ascending central series."""
-    cur = centre(G)
-    while not (cur.is_trivial or cur.is_full):
-        Q, pr = quotient(G, cur)
-        z = centre(Q)
-        if z.is_trivial:
-            break
-        cur = pr.preimage(z)
-    return cur
+    """Top of the ascending central series, climbed through central chief
+    steps: [m, g] lies in Z for every generator m of M and g of G."""
+    gens = G.reduced_generator_ids()
+    return climb(G, G.trivial_subgroup(), lambda Z, M: all(
+        G.commutator(m, g) in Z.ids for m in M.gens for g in gens))
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:
@@ -219,7 +234,7 @@ def is_p_nilpotent(G: FiniteGroup, p: int) -> bool:
 
 @dataclass
 class UpperPSeries:
-    """Strict terms of 1 <= O_{p'} <= preimage of O_p <= ... up to G.
+    """Strict terms of 1 <= O_{p'} <= O_{p',p} <= ... up to G.
 
     `kinds` records, per step, whether the jump was a p'-step or a p-step.
     """
@@ -235,28 +250,19 @@ class UpperPSeries:
 
 
 def upper_p_series(G: FiniteGroup, p: int) -> UpperPSeries:
-    terms = [G.trivial_subgroup()]
-    kinds: list[str] = []
-    want = "p'"
-    misses = 0
+    """From each term T, a p'-climb and then a p-climb; by correspondence
+    they end at the preimages of O_{p'}(G/T) and of O_p over that."""
+    steps = _core_steps(p)
+    terms, kinds = [G.trivial_subgroup()], []
     while not terms[-1].is_full:
-        if terms[-1].is_trivial:
-            # Quotient by 1 is the group itself; skip the coset action.
-            core = p_prime_core(G, p) if want == "p'" else p_core(G, p)
-            lifted = core
-        else:
-            Q, pr = quotient(G, terms[-1])
-            core = p_prime_core(Q, p) if want == "p'" else p_core(Q, p)
-            lifted = pr.preimage(core)
-        if core.is_trivial:
-            misses += 1
-            if misses == 2:
-                raise ValueError(f"group is not {p}-soluble; upper {p}-series stalls")
-        else:
-            misses = 0
-            terms.append(lifted)
-            kinds.append(want)
-        want = "p" if want == "p'" else "p'"
+        grown = len(terms)
+        for kind, step in steps.items():
+            top = climb(G, terms[-1], step)
+            if top is not terms[-1]:
+                terms.append(top)
+                kinds.append(kind)
+        if len(terms) == grown:
+            raise ValueError(f"group is not {p}-soluble; upper {p}-series stalls")
     return UpperPSeries(G, p, terms, kinds)
 
 

@@ -1,10 +1,10 @@
 """Sylow subgroups and the small-index subgroup families of a p-group.
 
-The Sylow subgroup and the subgroup families are computed on the ambient
-group's ids.  Maximal subgroups of a p-group come from a Burnside basis
-(generators independent modulo the Frattini subgroup), with no quotient
-group; only the quaternion-section test re-roots subgroups and forms
-quotients.
+The Sylow subgroup, the subgroup families and the quaternion-section test
+are computed on the ambient group's ids, with no subgroup re-rooted and no
+quotient group formed.  Maximal subgroups of a p-group come from a Burnside
+basis (generators independent modulo the Frattini subgroup); a Q8 section
+is found from a pair of its generators' preimages and the relators of Q8.
 """
 
 from __future__ import annotations
@@ -13,17 +13,8 @@ from itertools import combinations, product
 from operator import mul
 
 from .arith import factorize, p_part
-from .groups import (
-    FiniteGroup,
-    LimitExceeded,
-    Subgroup,
-    closure_ids,
-    memo,
-    quotient,
-    recognize_small,
-)
-from .series import normal_subgroups
-from .structure import element_power, frattini_subgroup_of_p_subgroup
+from .groups import FiniteGroup, LimitExceeded, Subgroup, closure_ids, memo
+from .structure import element_power, frattini_subgroup_of_p_subgroup, normal_closure
 
 
 def _ambient(X) -> tuple[FiniteGroup, Subgroup]:
@@ -204,18 +195,25 @@ def all_subgroups(X) -> list[Subgroup]:
 
 @memo
 def is_quaternion_free(X) -> bool:
-    """True if no section H/K of X is an order-8 quaternion group."""
-    sub = _ambient(X)[1]
+    """True if no section H/K of X is an order-8 quaternion group.
+
+    Q8 = <i, j | i^2 j^-2, j^-1 i j i> (i^4 = 1 follows: j commutes with
+    j^2 = i^2 and inverts it).  Preimages a, b of i, j in a section
+    H/K = Q8 generate a subgroup that maps onto it, and <a, b>/R, with R
+    the normal closure of the relators in <a, b>, is always a quotient of
+    Q8.  So a section exists exactly when some non-commuting a, b of order
+    divisible by 4 give |<a, b> : R| = 8.  An automorphism of Q8 swaps i
+    and j, so unordered pairs suffice.
+    """
+    G, sub = _ambient(X)
     if sub.order % 8 != 0:
         return True
-    for H in all_subgroups(sub):
-        if H.order % 8 != 0:
+    fours = [x for x in sorted(sub.ids) if G.element_order(x) % 4 == 0]
+    for a, b in combinations(fours, 2):
+        if G.mul(a, b) == G.mul(b, a):
             continue
-        H2, _ = H.as_group()
-        for K in normal_subgroups(H2):
-            if H2.n // K.order != 8:
-                continue
-            Q = H2 if K.is_trivial else quotient(H2, K)[0]
-            if recognize_small(Q).is_q8:
-                return False
+        relators = [G.mul(G.mul(a, a), G.inv(G.mul(b, b))), G.mul(G.conj(a, b), a)]
+        R = normal_closure(G, relators, by=[a, b])
+        if len(closure_ids(G, [a, b])) == 8 * R.order:
+            return False
     return True

@@ -307,6 +307,28 @@ def brute_hypercenter(G: FiniteGroup) -> frozenset:
     return ids
 
 
+def brute_has_q8_section(G: FiniteGroup, ids) -> bool:
+    """Some section H/K of the subgroup on `ids` is an order-8 quaternion
+    group.  Every subgroup H of order divisible by 8 is re-rooted on its
+    ids; each normal K of index 8 in it gives a quotient, which is Q8 when
+    it is non-abelian with one involution."""
+    X = TableGroup(sorted(ids), G.mul, G.inv)
+    for h_ids in brute_all_subgroups(X):
+        if len(h_ids) % 8:
+            continue
+        H = TableGroup(sorted(h_ids), X.mul, X.inv)
+        for k_ids in brute_all_subgroups(H):
+            if 8 * len(k_ids) != H.n or not brute_is_normal(H, k_ids):
+                continue
+            Q = brute_quotient(H, k_ids)[0]
+            els = range(Q.n)
+            nonabelian = any(Q.mul(a, b) != Q.mul(b, a) for a in els for b in els)
+            involutions = sum(1 for a in els if a and Q.mul(a, a) == 0)
+            if Q.n == 8 and nonabelian and involutions == 1:
+                return True
+    return False
+
+
 def brute_is_nilpotent_set(G: FiniteGroup, ids) -> bool:
     """Lower central series inside the subgroup on `ids`, by commutators."""
     ids = frozenset(ids)

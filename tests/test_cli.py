@@ -250,6 +250,25 @@ def test_description_catalog_name_must_be_a_string(capsys):
         assert f"{path} must be a catalog name string" in err, (desc, err)
 
 
+def test_description_names_must_be_strings(capsys):
+    perm = {"type": "perm", "degree": 2, "generators": [[[0, 1]]]}
+    cases = [
+        ({**perm, "name": [1]}, "name"),
+        ({**perm, "name": None}, "name"),
+        ({"type": "semidirect", "normal": {**perm, "name": 7}, "quotient": "C2",
+          "action": [[[]]]}, "normal.name"),
+        ({"type": "semidirect", "normal": perm, "quotient": "C2", "action": [[[]]],
+          "name": {"C2": 2}}, "name"),
+    ]
+    for desc, path in cases:
+        for extra in [(), ("--json",)]:
+            code, out, err = run(capsys, "info", json.dumps(desc), *extra)
+            assert code == 2 and out == "", (desc, extra)
+            assert f"error: {path} must be a string" in err, (desc, err)
+    code, out, _ = run(capsys, "info", json.dumps({**perm, "name": "two"}))
+    assert code == 0 and out.startswith("two: order 2")
+
+
 def test_description_degree_ceiling_before_allocation(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("Perm.from_cycles called before the degree check")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -483,12 +484,19 @@ def _s4xc2_ways():
 def test_backends_agree_under_isomorphism(name, ways):
     # A permutation group against a semidirect product, a product table and
     # a quotient: every subgroup carried over by an isomorphism gets the same
-    # verdict, and a witness the same factor checks.  Every subgroup of S3 is
-    # witnessed; S4 adds refusals (9 of its 30 subgroups); S4xC2 has several
-    # chief series and factors over a nontrivial K on both backends.
+    # verdict, a witness the same factor checks, and a refusal the same
+    # blocked states (mapped through the isomorphism), each with the same
+    # multiset of checks.  A refusal explores every state reachable through
+    # passing checks, so neither depends on sibling order.  Every subgroup
+    # of S3 is witnessed; S4 adds refusals (9 of its 30 subgroups); S4xC2
+    # has several chief series, and its refusals hold its factor checks
+    # with a nontrivial meet over K != 1.
     G = s4xc2() if name == "S4xC2" else build_group(name)
     subgroups = all_subgroups(G)
     want = [satisfies_partial_pi(G, H) for H in subgroups]
+    deep = [c for v in want if not v.satisfied for _, cs in v.blocked for c in cs
+            if 1 < c.k_order < c.meet_order < c.m_order]
+    assert (name == "S4xC2") == bool(deep)
     for X in ways():
         phi = _isomorphism(G, X)
         assert all(X.inv(phi[a]) == phi[G.inv(a)] for a in range(G.n))
@@ -498,3 +506,6 @@ def test_backends_agree_under_isomorphism(name, ways):
             assert got.satisfied == v.satisfied, (name, X, H)
             if v.satisfied:
                 assert got.checks == v.checks, (name, X, H)
+                continue
+            blocked = {frozenset(phi[a] for a in S.ids): Counter(cs) for S, cs in v.blocked}
+            assert {S.ids: Counter(cs) for S, cs in got.blocked} == blocked, (name, X, H)

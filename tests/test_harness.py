@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from gpi import groups
 from gpi.catalog import build_group, corpus_names
-from gpi.groups import LimitExceeded
+from gpi.cli import main
+from gpi.groups import LimitExceeded, Subgroup
 from gpi.series import minimal_normal_overgroups, normal_subgroups
 from gpi import verify as verify_mod
 from gpi.verify import (
@@ -130,6 +134,25 @@ def test_run_corpus_zero_violations():
     assert len(reports) == 3 * len(THEOREM_IDS)
     assert all(r.ok for r in reports)
     assert {r.group for r in reports} == {"S4", "A5", "SL(2,3)"}
+
+
+def test_theorem_and_info_paths_form_no_quotient_group(monkeypatch, capsys):
+    # Every binding of the quotient constructor, and the re-rooting of a
+    # subgroup as a group, raise; fresh handles keep memoised results from
+    # hiding a call.  The corpus sweep and `gpi info` still succeed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quotient group or a re-rooted subgroup was built")
+
+    original = groups.quotient
+    for name, mod in list(sys.modules.items()):
+        if (name == "gpi" or name.startswith("gpi.")) and getattr(mod, "quotient", None) is original:
+            monkeypatch.setattr(mod, "quotient", refuse)
+    monkeypatch.setattr(Subgroup, "as_group", refuse)
+    monkeypatch.setattr(sys.modules["gpi.catalog"], "_BUILT", {})
+    reports = run_corpus(names=["S4", "SL(2,3)", "GL(2,3)"])
+    assert len(reports) == 3 * len(THEOREM_IDS) and all(r.ok for r in reports)
+    assert main(["info", "S4"]) == 0
+    assert "hypercenter 1" in capsys.readouterr().out
 
 
 def test_run_corpus_records_resource_errors_as_skips(monkeypatch):

@@ -1,6 +1,7 @@
 import pytest
 
-from gpi.catalog import build_group
+from gpi.arith import prime_set
+from gpi.catalog import build_group, group_names
 from gpi.groups import Subgroup
 from gpi.perm import Perm
 from gpi.series import (
@@ -26,7 +27,8 @@ from gpi.series import (
     upper_p_series,
 )
 
-from oracles import brute_normal_subgroups
+from affine import affine_group
+from oracles import brute_hypercenter, brute_normal_lattice, brute_normal_subgroups
 
 cyc = Perm.from_cycles
 
@@ -215,3 +217,62 @@ def test_chief_factors_multiset_is_series_independent():
     assert sorted(one_chief_series(big).factor_orders()) == [3, 25, 25]
     s6 = build_group("S6")
     assert sorted(one_chief_series(s6).factor_orders()) == [2, 360]
+
+
+def _lattice_climb(lattice, T, p, kind):
+    """The largest lattice member N >= T with |N : T| prime to p (kind
+    "p'") or a power of p (kind "p"): by correspondence, the preimage of
+    O_{p'}(G/T) or O_p(G/T).  Also checks that it contains every other."""
+
+    def fits(k):
+        if kind == "p'":
+            return k % p != 0
+        while k % p == 0:
+            k //= p
+        return k == 1
+
+    members = [N for N in lattice if T <= N and fits(len(N) // len(T))]
+    top = max(members, key=len)
+    assert all(N <= top for N in members)
+    return top
+
+
+def _lattice_upper_p_series(G, lattice, p):
+    """Terms and kinds of the upper p-series from the lattice alone, or
+    None when two climbs in a row stay put."""
+    terms, kinds = [frozenset((0,))], []
+    want, misses = "p'", 0
+    while len(terms[-1]) < G.n:
+        top = _lattice_climb(lattice, terms[-1], p, want)
+        if top == terms[-1]:
+            misses += 1
+            if misses == 2:
+                return None
+        else:
+            misses = 0
+            terms.append(top)
+            kinds.append(want)
+        want = "p" if want == "p'" else "p'"
+    return terms, kinds
+
+
+@pytest.mark.parametrize("name", [*group_names(), "ASL(2,3)", "AGL(2,3)"])
+def test_climbs_match_the_brute_lattice(name):
+    # Hypercentre, cores and upper p-series against references built from
+    # the brute normal lattice (and the brute centre climb up to order
+    # 720), at every prime of |G| and at 7, which divides none.
+    G = affine_group(name) if name.startswith(("ASL", "AGL")) else build_group(name)
+    lattice = brute_normal_lattice(G)
+    trivial = frozenset((0,))
+    if G.n <= 720:
+        assert hypercenter(G).ids == brute_hypercenter(G)
+    for p in sorted({*prime_set(G.n), 7}):
+        assert p_core(G, p).ids == _lattice_climb(lattice, trivial, p, "p"), p
+        assert p_prime_core(G, p).ids == _lattice_climb(lattice, trivial, p, "p'"), p
+        want = _lattice_upper_p_series(G, lattice, p)
+        if want is None:
+            with pytest.raises(ValueError, match="stalls"):
+                upper_p_series(G, p)
+        else:
+            ser = upper_p_series(G, p)
+            assert ([t.ids for t in ser.terms], ser.kinds) == want, p

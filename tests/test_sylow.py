@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from gpi.arith import p_part
-from gpi.catalog import build_group, from_description
+from gpi.catalog import build_group, from_description, group_names
 from gpi.groups import LimitExceeded, Subgroup, closure_ids, recognize_small
 from gpi.structure import derived_subgroup, frattini_subgroup_of_p_subgroup, p_prime_residual
 from gpi.sylow import (
@@ -18,7 +20,7 @@ from gpi.sylow import (
     two_minimal_subgroups,
 )
 
-from oracles import brute_all_subgroups, brute_subgroups_of_order
+from oracles import brute_all_subgroups, brute_has_q8_section, brute_subgroups_of_order
 
 
 def _is_sylow(G, P, p, within=None):
@@ -233,3 +235,54 @@ def test_quaternion_free_whole_group_scan():
     assert is_quaternion_free(build_group("C12")) is True
     P = sylow_subgroup(build_group("GL(2,3)"), 2)
     assert is_quaternion_free(P) is False
+    for name in ["S4", "SL(2,3)", "C12"]:
+        G = build_group(name)
+        assert is_quaternion_free(G) is not brute_has_q8_section(G, range(G.n)), name
+    assert brute_has_q8_section(P.group, P.ids)
+
+
+@pytest.mark.parametrize("name", group_names())
+def test_quaternion_free_against_brute_sections(name):
+    G = build_group(name)
+    P = sylow_subgroup(G, 2)
+    assert is_quaternion_free(P) is not brute_has_q8_section(G, P.ids)
+
+
+# C2^2:C4 of order 16 is quaternion-free, but pairs of its non-commuting
+# elements of order 4 span D8 modulo the relator j^-1 i j i alone; the
+# relator i^2 j^-2 rules those out.  In C4:C8, with the C8 inverting the
+# C4, every element of order 4 lies in the abelian C4 x C4, yet the
+# quotient by <b^2 a^2> is Q8: its j lifts only to elements of order 8.
+EDGE_TWO_GROUPS = [
+    ({"type": "perm", "degree": 8,
+      "generators": [[[0, 2, 1, 3], [4, 6, 5, 7]], [[0, 2, 1, 3], [6, 7]]]}, 16, True),
+    ({"type": "perm", "degree": 12,
+      "generators": [[[0, 1, 2, 3]], [[1, 3], [4, 5, 6, 7, 8, 9, 10, 11]]]}, 32, False),
+]
+
+
+@pytest.mark.parametrize("desc,order,free", EDGE_TWO_GROUPS)
+def test_quaternion_free_edge_groups(desc, order, free):
+    G = from_description(desc)
+    assert G.n == order and not G.is_abelian()
+    assert is_quaternion_free(G) is free
+    assert brute_has_q8_section(G, range(G.n)) is not free
+
+
+def test_quaternion_free_on_large_two_groups():
+    # The pair test runs on the ambient ids: a Sylow 2-subgroup of order
+    # 128 and a dihedral group of order 64, each decided well under 1 s.
+    S8 = from_description({"type": "perm", "degree": 8,
+                           "generators": [[list(range(8))], [[0, 1]]]})
+    P = sylow_subgroup(S8, 2)
+    assert P.order == 128
+    start = time.perf_counter()
+    assert is_quaternion_free(P) is False
+    assert time.perf_counter() - start < 1.0
+    reflection = [[i, 32 - i] for i in range(1, 16)]
+    D64 = from_description({"type": "perm", "degree": 32,
+                            "generators": [[list(range(32))], reflection]})
+    assert D64.n == 64 and recognize_small(D64).is_dihedral_2group
+    start = time.perf_counter()
+    assert is_quaternion_free(D64) is True
+    assert time.perf_counter() - start < 1.0
