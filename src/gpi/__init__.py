@@ -12,7 +12,6 @@ that property over concrete groups.
 from .arith import is_pi_number, is_prime, p_part, prime_set
 from .catalog import (
     build_group,
-    catalog,
     corpus_names,
     from_description,
     group_names,
@@ -23,10 +22,8 @@ from .groups import (
     LimitExceeded,
     Limits,
     PermGroup,
-    StructureFingerprint,
     Subgroup,
     TableGroup,
-    recognize_small,
     semidirect_product,
 )
 from .partialpi import (
@@ -41,7 +38,6 @@ from .partialpi import (
 from .perm import Perm
 from .series import (
     ChiefSeries,
-    chief_factors,
     fitting_subgroup,
     hypercenter,
     is_p_soluble,
@@ -70,14 +66,12 @@ from .sylow import (
     two_maximal_subgroups_of_p_group,
     two_minimal_subgroups,
 )
-from .verify import THEOREM_IDS, TheoremReport, run_corpus, verify_all, verify_theorem
+from .verify import THEOREM_IDS, TheoremReport, run_corpus, verify_theorem
 
 __all__ = [
     "build_group",
-    "catalog",
     "centralizer",
     "centre",
-    "chief_factors",
     "ChiefSeries",
     "corpus_names",
     "cyclic_subgroups_of_order",
@@ -113,13 +107,11 @@ __all__ = [
     "PiRefusal",
     "PiWitness",
     "prime_set",
-    "recognize_small",
     "run_corpus",
     "satisfies_partial_pi",
     "satisfies_partial_pi_within",
     "semidirect_product",
     "socle",
-    "StructureFingerprint",
     "Subgroup",
     "sylow_subgroup",
     "TableGroup",
@@ -127,7 +119,6 @@ __all__ = [
     "TheoremReport",
     "two_maximal_subgroups_of_p_group",
     "two_minimal_subgroups",
-    "verify_all",
     "verify_theorem",
     "witness_series_through",
 ]

@@ -181,10 +181,6 @@ _ENTRIES = {entry.name: entry for entry in _entries()}
 _BUILT: dict[str, FiniteGroup] = {}
 
 
-def catalog() -> dict[str, CatalogEntry]:
-    return dict(_ENTRIES)
-
-
 def group_names() -> list[str]:
     return list(_ENTRIES)
 

@@ -346,7 +346,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except LimitExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         print(f"bad JSON: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

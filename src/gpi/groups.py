@@ -3,11 +3,12 @@
 Two backends exist: permutation groups (generators given as `Perm`s, order
 decided by a stabilizer chain, elements enumerated lazily) and table groups
 (an element domain with a product function).  Table groups serve re-rooted
-subgroups, hand-built groups, semidirect products and quotients; the last two
+subgroups, hand-built groups, semidirect products (a direct product has
+trivial action rows) and quotients, which only tests form; the last two
 compute directly on ids.  Once materialised, every handle looks the same:
-elements are the ids 0..n-1 with 0 the identity, `mul`/`inv` work on ids, and
-a subgroup is a canonical frozen set of ids.  All structural algorithms in the
-package are written once against that face.
+elements are the ids 0..n-1 with 0 the identity, `mul`/`inv` work on ids,
+and a subgroup is a canonical frozen set of ids.  All structural algorithms
+in the package are written once against that face.
 
 The orbit kernels read id tables built once per group and kept in `G.memo`,
 not products of single elements:
@@ -33,21 +34,21 @@ from dataclasses import dataclass
 from itertools import compress
 
 from . import bsgs
-from .arith import factorize
 from .perm import Perm
 
 
 @dataclass(frozen=True)
 class Limits:
-    """Desk-scale ceilings.  Raise them deliberately, not by accident.
+    """Desk-scale ceilings, each checked before the memory it guards is
+    allocated.  Raise them deliberately, not by accident.
 
-    `max_degree` bounds the degree of permutation groups only; quotients
-    are table groups on coset numbers and have no degree.
+    `max_elements` bounds the order of every handle, a semidirect product's
+    before its automorphism tables are built; `max_degree` bounds
+    permutation groups only; `subgroup_scan_bound` bounds `all_subgroups`.
     """
 
     max_elements: int = 1_000_000
     max_degree: int = 4096
-    recognize_bound: int = 512
     subgroup_scan_bound: int = 256
 
 
@@ -692,6 +693,10 @@ def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action, limits=None, name
     """
     N.materialize()
     Q.materialize()
+    limits = limits or N.limits
+    if N.n * Q.n > limits.max_elements:  # the automorphism tables hold |Q| * |N| ids
+        raise LimitExceeded(f"semidirect product of order {N.n * Q.n} exceeds the "
+                            f"element ceiling {limits.max_elements}")
     ngens = N.generator_ids
     qgens = Q.generator_ids
     if len(action) != len(qgens):
@@ -751,17 +756,9 @@ def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action, limits=None, name
         inv,
         gens=[g * qn for g in ngens] + qgens,
         label_fn=label,
-        limits=limits or N.limits,
+        limits=limits,
         name=name,
     )
-
-
-def direct_product(A: FiniteGroup, B: FiniteGroup, limits=None, name="") -> TableGroup:
-    """Direct product as a semidirect product with trivial action."""
-    A.materialize()
-    B.materialize()
-    trivial = [[g for g in A.generator_ids] for _ in B.generator_ids]
-    return semidirect_product(A, B, trivial, limits=limits, name=name)
 
 
 # -- quotients ------------------------------------------------------------------------
@@ -823,88 +820,3 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[TableGroup, QuotientMap]:
         name=f"{G.name}/N{N.order}" if G.name else f"quotient{len(reps)}",
     )
     return quot, QuotientMap(G, quot, N, labels, reps)
-
-
-# -- small-group recognition ------------------------------------------------------------
-
-
-class StructureFingerprint:
-    """Order statistics of a small group, with the handful of shape tests we need."""
-
-    def __init__(self, order: int, abelian: bool, histogram: dict[int, int]):
-        self.order = order
-        self.abelian = abelian
-        self.histogram = dict(sorted(histogram.items()))
-        self.exponent = math.lcm(*self.histogram, 1)
-
-    @property
-    def is_cyclic(self) -> bool:
-        return self.histogram.get(self.order, 0) > 0
-
-    @property
-    def involutions(self) -> int:
-        return self.histogram.get(2, 0)
-
-    def _two_group_with_cyclic_maximal(self) -> bool:
-        fac = factorize(self.order)
-        if set(fac) != {2} or self.order < 8:
-            return False
-        return self.histogram.get(self.order // 2, 0) > 0
-
-    @property
-    def is_dihedral_2group(self) -> bool:
-        return (
-            not self.abelian
-            and self._two_group_with_cyclic_maximal()
-            and self.involutions == self.order // 2 + 1
-        )
-
-    @property
-    def is_semidihedral_2group(self) -> bool:
-        return (
-            not self.abelian
-            and self.order >= 16
-            and self._two_group_with_cyclic_maximal()
-            and self.involutions == self.order // 4 + 1
-        )
-
-    @property
-    def is_generalized_quaternion(self) -> bool:
-        return (
-            not self.abelian
-            and self._two_group_with_cyclic_maximal()
-            and self.involutions == 1
-        )
-
-    @property
-    def is_q8(self) -> bool:
-        return self.order == 8 and self.is_generalized_quaternion
-
-    def is_elementary_abelian(self, p: int) -> bool:
-        return self.abelian and (self.order == 1 or (self.exponent == p and factorize(self.order).keys() == {p}))
-
-    def __repr__(self) -> str:
-        return (
-            f"<fingerprint order={self.order} abelian={self.abelian} "
-            f"orders={self.histogram}>"
-        )
-
-
-def recognize_small(x) -> StructureFingerprint:
-    """Fingerprint a group or subgroup of order up to the recognition bound."""
-    if isinstance(x, Subgroup):
-        G, ids, gens = x.group, sorted(x.ids), x.gens
-    else:
-        G = x.materialize()
-        ids, gens = range(G.n), G.generator_ids
-    bound = G.limits.recognize_bound
-    if len(ids) > bound:
-        raise LimitExceeded(f"recognition is limited to order <= {bound}")
-    hist: dict[int, int] = {}
-    for a in ids:
-        o = G.element_order(a)
-        hist[o] = hist.get(o, 0) + 1
-    abelian = all(
-        G.mul(a, b) == G.mul(b, a) for i, a in enumerate(gens) for b in list(gens)[i + 1 :]
-    )
-    return StructureFingerprint(len(ids), abelian, hist)

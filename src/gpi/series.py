@@ -1,11 +1,12 @@
 """Normal subgroup lattice, chief series, and the predicates built on them.
 
-The lattice is generated from principal normal closures (one per conjugacy
-class) and memoised on the group handle, as are the minimal normal overgroups
-of each visited subgroup; those are the successor moves of every series walk
-in the package.  The characteristic subgroups read off the lattice (the
-hypercentre, the p- and p'-cores, the terms of the upper p-series) are
-climbs along those chief steps (`climb`), with no quotient group formed.
+The minimal normal overgroups of a normal subgroup (its chief steps, found
+from the principal normal closures, one per conjugacy class) are memoised on
+the group handle; they are the successor moves of every series walk in the
+package, the walk over the whole lattice included.  The characteristic
+subgroups read off the lattice (the hypercentre, the p- and p'-cores, the
+terms of the upper p-series) are climbs along those chief steps (`climb`),
+with no quotient group formed.
 """
 
 from __future__ import annotations
@@ -67,22 +68,16 @@ def minimal_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 @memo
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """The full normal subgroup lattice, as a join-closure of the principal ones."""
+    """The full normal subgroup lattice: the closure of {1} under chief
+    steps, since every normal subgroup lies on some chief series."""
     triv = G.trivial_subgroup()
     seen: dict[frozenset, Subgroup] = {triv.ids: triv}
-    frontier = [triv]
-    prins = principal_normal_closures(G)
-    while frontier:
-        nxt = []
-        for N in frontier:
-            for P in prins:
-                if P.ids <= N.ids:
-                    continue
-                J = _join_normal(G, N, P)
-                if J.ids not in seen:
-                    seen[J.ids] = J
-                    nxt.append(J)
-        frontier = nxt
+    todo = [triv]
+    for N in todo:  # grows while it is walked
+        for M in minimal_normal_overgroups(G, N):
+            if M.ids not in seen:
+                seen[M.ids] = M
+                todo.append(M)
     return sorted(seen.values(), key=lambda S: (S.order, S.sorted_ids))
 
 
@@ -129,10 +124,6 @@ def one_chief_series(G: FiniteGroup) -> ChiefSeries:
     while not terms[-1].is_full:
         terms.append(minimal_normal_overgroups(G, terms[-1])[0])
     return ChiefSeries(G, terms)
-
-
-def chief_factors(G: FiniteGroup) -> list[tuple[Subgroup, Subgroup]]:
-    return one_chief_series(G).factors()
 
 
 def climb(G: FiniteGroup, Z: Subgroup, step) -> Subgroup:
@@ -225,11 +216,6 @@ def hypercenter(G: FiniteGroup) -> Subgroup:
 
 def is_nilpotent(G: FiniteGroup) -> bool:
     return hypercenter(G).is_full
-
-
-def is_p_nilpotent(G: FiniteGroup, p: int) -> bool:
-    """A normal p-complement exists: |G : O_{p'}(G)| is the p-part of |G|."""
-    return G.n // p_prime_core(G, p).order == p_part(G.n, p)
 
 
 @dataclass

@@ -94,43 +94,12 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
     return normal_closure(G, comms)
 
 
-def derived_series(G: FiniteGroup) -> list[Subgroup]:
-    """G >= G' >= G'' >= ... down to the stable term (included once).
-
-    Each term is the normal closure, inside the previous term, of the
-    commutators of that term's generators.
-    """
-    out = [G.full_subgroup()]
-    while True:
-        gens = out[-1].gens
-        nxt = normal_closure(G, {G.commutator(a, b) for a in gens for b in gens}, by=gens)
-        if nxt == out[-1]:
-            return out
-        out.append(nxt)
-
-
-def is_perfect(G: FiniteGroup) -> bool:
-    return derived_subgroup(G).is_full
-
-
 def p_residual(G: FiniteGroup, p: int) -> Subgroup:
     """O^p(G): generated by all elements of order prime to p."""
     if p not in factorize(G.n):
         raise ValueError(f"{p} does not divide the group order {G.n}")
     return normal_closure(
         G, (a for a in range(G.n) if G.element_order(a) % p)
-    )
-
-
-def p_prime_residual(G: FiniteGroup, p: int) -> Subgroup:
-    """O^{p'}(G): generated by all elements of p-power order."""
-    if p not in factorize(G.n):
-        raise ValueError(f"{p} does not divide the group order {G.n}")
-    pk = 1
-    while G.n % (pk * p) == 0:
-        pk *= p
-    return normal_closure(
-        G, (a for a in range(G.n) if pk % G.element_order(a) == 0)
     )
 
 

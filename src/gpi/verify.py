@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .arith import p_part, prime_set
 from .formations import f_hypercenter
-from .groups import FiniteGroup, LimitExceeded, Subgroup, recognize_small
+from .groups import FiniteGroup, LimitExceeded, Subgroup
 from .partialpi import satisfies_partial_pi
 from .series import hypercenter, is_p_soluble, normal_subgroups, p_length
 from .structure import p_residual
@@ -209,7 +209,7 @@ def verify_t14(G: FiniteGroup, exhaustive: bool = False, primes=None) -> Theorem
             rep.details.append({"p": p, "sylow": P.order, "applicable": False})
             continue
         family = list(two_maximal_subgroups_of_p_group(P))
-        if p == 2 and recognize_small(P).is_q8:
+        if P.order == 8 and not is_quaternion_free(P):  # P is Q8
             family += cyclic_subgroups_of_order(P, 4)
         hyp, checked = _family_all_satisfy(G, family, exhaustive)
         concl = None
@@ -239,7 +239,7 @@ def verify_cls(G: FiniteGroup, exhaustive: bool = False, primes=None) -> Theorem
             concl = (
                 is_p_soluble(G, p)
                 or P.order == p * p
-                or (p == 2 and recognize_small(P).is_q8)
+                or (P.order == 8 and not is_quaternion_free(P))  # P is Q8
             )
         rep.details.append(
             {"p": p, "sylow": P.order, "family": len(family), "checked": checked,
@@ -311,10 +311,6 @@ def verify_theorem(
             raise ValueError(f"theorem {tid} does not range over a chosen normal subgroup")
         return checker(G, exhaustive=exhaustive, primes=primes, normal_only=normal_only)
     return checker(G, exhaustive=exhaustive, primes=primes)
-
-
-def verify_all(G: FiniteGroup, exhaustive: bool = False) -> list[TheoremReport]:
-    return [checker(G, exhaustive=exhaustive) for checker in CHECKERS.values()]
 
 
 def run_corpus(names=None, tids=None, exhaustive: bool = False, progress=None) -> list[TheoremReport]:

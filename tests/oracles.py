@@ -329,6 +329,38 @@ def brute_has_q8_section(G: FiniteGroup, ids) -> bool:
     return False
 
 
+def brute_order_histogram(G: FiniteGroup, ids=None) -> dict[int, int]:
+    """How many elements of G (or of the subset `ids`) have each order,
+    by repeated multiplication."""
+    hist: dict[int, int] = {}
+    for a in range(G.n) if ids is None else ids:
+        k, x = 1, a
+        while x != 0:
+            x = G.mul(x, a)
+            k += 1
+        hist[k] = hist.get(k, 0) + 1
+    return dict(sorted(hist.items()))
+
+
+def brute_two_group_shape(G: FiniteGroup, ids=None) -> str | None:
+    """The shape of a non-abelian group of order 2^n >= 8 with an element
+    of order 2^(n-1), the whole of G or the subgroup on `ids`:
+    "dihedral", "semidihedral", "quaternion" (generalized) or "modular".
+    These are the non-abelian 2-groups with a cyclic maximal subgroup, and
+    their numbers of involutions tell them apart.  None for any other group."""
+    els = list(range(G.n) if ids is None else ids)
+    n = len(els)
+    if n < 8 or n & (n - 1) or all(G.mul(a, b) == G.mul(b, a) for a in els for b in els):
+        return None
+    hist = brute_order_histogram(G, els)
+    if not hist.get(n // 2):
+        return None
+    shapes = {n // 2 + 1: "dihedral", 1: "quaternion"}
+    if n >= 16:
+        shapes.update({n // 4 + 1: "semidihedral", 3: "modular"})
+    return shapes[hist.get(2, 0)]
+
+
 def brute_is_nilpotent_set(G: FiniteGroup, ids) -> bool:
     """Lower central series inside the subgroup on `ids`, by commutators."""
     ids = frozenset(ids)

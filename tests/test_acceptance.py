@@ -25,7 +25,6 @@ from gpi import (
     is_pi_number,
     p_length,
     prime_set,
-    recognize_small,
     run_corpus,
     satisfies_partial_pi,
     socle,
@@ -44,6 +43,7 @@ from oracles import (
     brute_partial_pi,
     brute_socle,
     brute_subgroups_of_order,
+    brute_two_group_shape,
 )
 # Aliased so pytest does not collect the imported suites a second time.
 from test_lemmas import test_intermediate_subgroup_lemma as run_intermediate_suite
@@ -122,7 +122,7 @@ def test_criterion_3_double_cover_of_a5():
     assert [t.order for t in v.terms] == [1, 2, 120]
 
     P = sylow_subgroup(G, 2)
-    assert recognize_small(P).is_q8
+    assert P.order == 8 and brute_two_group_shape(G, P.ids) == "quaternion"
     quarts = cyclic_subgroups_of_order(P, 4)
     assert len(quarts) == 3
     for C in quarts:
@@ -287,12 +287,7 @@ def test_criterion_8_unique_index_four_normal():
             continue
         normals = brute_normal_subgroups(G)
         index_four = [N for N in normals if len(N) * 4 == G.n]
-        fp = recognize_small(G)
-        special = (
-            fp.is_dihedral_2group
-            or fp.is_semidihedral_2group
-            or fp.is_generalized_quaternion
-        )
+        special = brute_two_group_shape(G) in ("dihedral", "semidihedral", "quaternion")
         assert (len(index_four) == 1) == special, name
         if not special:
             plural_names.append(name)
@@ -323,10 +318,5 @@ def test_criterion_8_unique_index_four_normal():
     # index-four subgroup but none of the three shapes.
     C8 = build_group("C8")
     idx4 = [N for N in brute_normal_subgroups(C8) if len(N) == 2]
-    fp = recognize_small(C8)
     assert len(idx4) == 1
-    assert not (
-        fp.is_dihedral_2group
-        or fp.is_semidihedral_2group
-        or fp.is_generalized_quaternion
-    )
+    assert brute_two_group_shape(C8) is None

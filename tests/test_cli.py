@@ -281,6 +281,40 @@ def test_description_degree_ceiling_before_allocation(capsys, monkeypatch):
     assert "degree 4097 exceeds the ceiling 4096" in err
 
 
+@pytest.mark.parametrize("where", ["info", "check --subgroup", "theorem --normal"])
+def test_deeply_nested_json_is_bad_json(capsys, where):
+    # The parser gives up with a RecursionError: an input error, not a crash.
+    deep = "[" * 30000 + "]" * 30000
+    argv = {"info": ["info", deep],
+            "check --subgroup": ["check", "--group", "S4", "--subgroup", deep],
+            "theorem --normal": ["theorem", "--id", "t11", "--group", "S4", "--normal", deep]}
+    code, out, err = run(capsys, *argv[where])
+    assert code == 2 and out == "" and "bad JSON" in err
+
+
+def test_semidirect_ceiling_before_allocation(capsys, monkeypatch):
+    # S7 x S7 has order 25,401,600 > 10^6: refused before any of its 5,040
+    # automorphism tables of 5,040 ids is built.
+    def refuse(*args):
+        raise AssertionError("an automorphism table was built")
+
+    monkeypatch.setattr(importlib.import_module("gpi.groups"), "hom_from_generators", refuse)
+    s7 = {"type": "perm", "degree": 7, "generators": [[[0, 1, 2, 3, 4, 5, 6]], [[0, 1]]]}
+    desc = json.dumps({"type": "semidirect", "normal": s7, "quotient": s7,
+                       "action": [[[[0, 1, 2, 3, 4, 5, 6]], [[0, 1]]]] * 2})
+    code, out, err = run(capsys, "info", desc)
+    assert code == 2 and out == ""
+    assert "order 25401600 exceeds the element ceiling 1000000" in err
+
+
+def test_catalog_submodule_is_not_shadowed():
+    import gpi.catalog as catalog_module
+    from gpi import catalog
+
+    assert catalog is catalog_module is sys.modules["gpi.catalog"]
+    assert catalog.build_group("S3").n == 6
+
+
 def test_description_generator_shape(capsys):
     code, _, err = run(capsys, "info", '{"type": "perm", "degree": 3, "generators": [[0, 1]]}')
     assert code == 2 and "generators" in err

@@ -76,9 +76,9 @@ def test_central_matches_literal_on_big_factors():
 
 def test_literal_guards():
     S4 = build_group("S4")
-    from gpi.structure import p_prime_residual
+    from gpi.structure import p_residual
 
-    a4 = p_prime_residual(S4, 3)
+    a4 = p_residual(S4, 2)
     with pytest.raises(ValueError):
         is_factor_central_literal(S4, S4.trivial_subgroup(), a4, 2)
     S6 = build_group("S6")

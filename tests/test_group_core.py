@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from gpi import groups
 from gpi.catalog import build_group
 from gpi.groups import (
     Limits,
@@ -13,12 +14,10 @@ from gpi.groups import (
     TableGroup,
     closure_ids,
     conj_set,
-    direct_product,
     hom_defect,
     hom_from_generators,
     product_ids,
     quotient,
-    recognize_small,
     semidirect_product,
 )
 from gpi.partialpi import satisfies_partial_pi
@@ -27,11 +26,18 @@ from gpi.series import normal_subgroups, one_chief_series
 from gpi.sylow import (
     all_subgroups,
     cyclic_subgroups_of_order,
+    is_quaternion_free,
     maximal_subgroups_of_p_group,
     sylow_subgroup,
 )
 
-from oracles import brute_center, brute_closure, brute_normalizer
+from oracles import (
+    brute_center,
+    brute_closure,
+    brute_normalizer,
+    brute_order_histogram,
+    brute_two_group_shape,
+)
 
 cyc = Perm.from_cycles
 
@@ -302,15 +308,22 @@ def test_semidirect_c3_by_c2_is_symmetric():
     C3, C2 = cn_table(3), cn_table(2)
     G = semidirect_product(C3, C2, [[2]], name="C3:C2")  # invert the 3-cycle
     assert G.n == 6 and not G.is_abelian()
-    fp = recognize_small(G)
-    assert fp.histogram == {1: 1, 2: 3, 3: 2}
+    assert brute_order_histogram(G) == {1: 1, 2: 3, 3: 2}
     e = 1 * C2.n + 1  # the pair (x, s) has id x * |C2| + s
     assert G.mul(e, e) == 0  # (x, s)^2 = (x * s(x), 1) = (x * x^-1, 1)
 
 
+def direct(A, B):
+    """A x B: the semidirect product whose action rows fix A's generators."""
+    return semidirect_product(A, B, [A.generator_ids for _ in B.generator_ids])
+
+
 def test_direct_product_is_componentwise():
-    G = direct_product(cn_table(3), cn_table(2))
+    G = direct(cn_table(3), cn_table(2))
     assert G.n == 6 and G.is_abelian() and G.exponent() == 6
+    # (x, s) has id x * |C2| + s; products multiply each coordinate
+    assert all(G.mul(a, b) == (a // 2 + b // 2) % 3 * 2 + (a + b) % 2
+               for a in range(6) for b in range(6))
 
 
 def test_semidirect_rejects_bad_actions():
@@ -331,7 +344,7 @@ def test_quotient_s4_by_klein():
     )
     Q, pr = quotient(G, v4)
     assert Q.n == 6
-    assert recognize_small(Q).histogram == {1: 1, 2: 3, 3: 2}
+    assert brute_order_histogram(Q) == {1: 1, 2: 3, 3: 2}
     assert pr.kernel() == v4
     rng = random.Random(11)
     for _ in range(40):
@@ -371,28 +384,33 @@ def test_limits_are_enforced():
     assert quotient(small, v4)[0].n == 6
 
 
-def test_recognize_small_two_group_shapes():
-    assert recognize_small(d8()).is_dihedral_2group
-    assert not recognize_small(d8()).is_generalized_quaternion
-    fp8 = recognize_small(q8())
-    assert fp8.is_q8 and fp8.is_generalized_quaternion and fp8.involutions == 1
-    fp16 = recognize_small(dicyclic16())
-    assert fp16.is_generalized_quaternion and not fp16.is_q8
-    assert recognize_small(sd16()).is_semidihedral_2group
-    fpm = recognize_small(m16())
-    assert not (fpm.is_dihedral_2group or fpm.is_semidihedral_2group
-                or fpm.is_generalized_quaternion)
-    assert fpm.involutions == 3
-    c8 = recognize_small(PermGroup([cyc(8, [tuple(range(8))])]))
-    assert c8.is_cyclic and not c8.is_dihedral_2group
+def test_brute_two_group_shapes():
+    # The shape oracle on the catalogue's 2-groups with a cyclic maximal
+    # subgroup, and the engine's Q8 test (order 8, a Q8 section) beside it.
     G = s4()
     v4 = G.generated(
         [G.id_of_perm(cyc(4, [(0, 1), (2, 3)])), G.id_of_perm(cyc(4, [(0, 2), (1, 3)]))]
     )
-    assert recognize_small(v4).is_elementary_abelian(2)
-    with pytest.raises(LimitExceeded):
-        recognize_small(PermGroup([cyc(4, [(0, 1, 2, 3)]), cyc(4, [(0, 1)])],
-                                  limits=Limits(recognize_bound=8)))
+    cases = [(d8(), "dihedral"), (q8(), "quaternion"), (dicyclic16(), "quaternion"),
+             (sd16(), "semidihedral"), (m16(), "modular"),
+             (PermGroup([cyc(8, [tuple(range(8))])]), None), (s4(), None)]
+    for X, shape in cases:
+        assert brute_two_group_shape(X) == shape, X
+        P = X.full_subgroup()
+        assert (P.order == 8 and not is_quaternion_free(P)) == (X.n == 8 and shape == "quaternion")
+    assert brute_two_group_shape(G, v4.ids) is None
+    assert brute_order_histogram(G, v4.ids) == {1: 1, 2: 3}
+
+
+def test_semidirect_ceiling_trips_before_any_table(monkeypatch):
+    # |N| * |Q| = 12 is over the ceiling of 10: the product is refused before
+    # a single automorphism table (Q.n lists of N.n ids) is extended.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an automorphism table was built")
+
+    monkeypatch.setattr(groups, "hom_from_generators", refuse)
+    with pytest.raises(LimitExceeded, match="order 12 exceeds the element ceiling 10"):
+        semidirect_product(cn_table(3), cn_table(4), [[1]], limits=Limits(max_elements=10))
 
 
 def test_hom_extension_sign_map():
@@ -465,7 +483,7 @@ def _s4_ways():
     # S3 permutes the three involutions of V4: (0 1 2) cycles a -> b -> ab,
     # (0 1) swaps a and b.
     V4S3 = semidirect_product(build_group("C2^2"), build_group("S3"), [[b, ab], [b, a]])
-    S4xC2 = direct_product(s4(), cn_table(2))
+    S4xC2 = direct(s4(), cn_table(2))
     return [V4S3, _symmetric_table(4), quotient(S4xC2, Subgroup(S4xC2, (0, 1)))[0]]
 
 
@@ -475,7 +493,7 @@ def s4xc2():
 
 
 def _s4xc2_ways():
-    return [direct_product(s4(), cn_table(2))]
+    return [direct(s4(), cn_table(2))]
 
 
 @pytest.mark.parametrize(

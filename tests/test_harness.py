@@ -9,7 +9,7 @@ import pytest
 from gpi import groups
 from gpi.catalog import build_group, corpus_names
 from gpi.cli import main
-from gpi.groups import LimitExceeded, Subgroup
+from gpi.groups import LimitExceeded, Subgroup, TableGroup
 from gpi.series import minimal_normal_overgroups, normal_subgroups
 from gpi import verify as verify_mod
 from gpi.verify import (
@@ -17,7 +17,6 @@ from gpi.verify import (
     LABELS,
     THEOREM_IDS,
     run_corpus,
-    verify_all,
     verify_theorem,
 )
 from affine import AFFINE, affine_group
@@ -123,17 +122,24 @@ def test_exhaustive_mode_scans_whole_family():
     assert full["conclusion"] is not None
 
 
-def test_verify_all_covers_every_theorem():
-    reports = verify_all(build_group("SL(2,3)"))
-    assert [r.theorem for r in reports] == list(THEOREM_IDS)
-    assert all(r.ok for r in reports)
+def test_t14_on_a_cyclic_sylow_beyond_order_512():
+    # Only a Sylow 2-subgroup of order 8 can be Q8, so t14 puts no size
+    # ceiling on P.  A table group keeps this fast: on a cyclic permutation
+    # group of large degree, each principal normal closure costs |G| products
+    # of that degree.
+    C = TableGroup(range(1024), lambda a, b: (a + b) % 1024, lambda a: -a % 1024,
+                   gens=[1], name="C1024")
+    rep = verify_theorem("t14", C)
+    assert [(d["p"], d["sylow"], d["hypothesis"], d["conclusion"])
+            for d in rep.details] == [(2, 1024, True, True)]
+    assert rep.ok
 
 
 def test_run_corpus_zero_violations():
     reports = run_corpus(names=["S4", "A5", "SL(2,3)"])
-    assert len(reports) == 3 * len(THEOREM_IDS)
+    assert [(r.group, r.theorem) for r in reports] == [
+        (name, tid) for name in ("S4", "A5", "SL(2,3)") for tid in THEOREM_IDS]
     assert all(r.ok for r in reports)
-    assert {r.group for r in reports} == {"S4", "A5", "SL(2,3)"}
 
 
 def test_theorem_and_info_paths_form_no_quotient_group(monkeypatch, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from gpi.arith import is_pi_number, prime_set
 from gpi.catalog import build_group
-from gpi.groups import Subgroup, direct_product
+from gpi.groups import Subgroup, semidirect_product
 from gpi.partialpi import (
     FactorCheck,
     PiRefusal,
@@ -18,7 +18,7 @@ from gpi.partialpi import (
     witness_series_through,
 )
 from gpi.series import minimal_normal_subgroups
-from gpi.structure import centre, p_prime_residual
+from gpi.structure import centre, p_residual
 from gpi.sylow import (
     all_subgroups,
     cyclic_subgroups_of_order,
@@ -31,8 +31,8 @@ from oracles import brute_normal_lattice, brute_normalizer, brute_partial_pi
 
 def test_factor_condition_shortcut_branches():
     S4 = build_group("S4")
-    v4 = sylow_subgroup(S4, 2, within=p_prime_residual(S4, 3))
-    a4 = p_prime_residual(S4, 3)
+    v4 = sylow_subgroup(S4, 2, within=p_residual(S4, 2))
+    a4 = p_residual(S4, 2)
     triv = S4.trivial_subgroup()
     # meet == M: the factor passes with index 1
     fc = factor_condition(S4, v4, triv, v4)
@@ -74,7 +74,8 @@ def _reference_checks(G, population, keep=lambda K, M: True):
 
 
 def test_factor_condition_matches_id_level_reference():
-    s4xc2 = direct_product(build_group("S4"), build_group("C2"))
+    S4, C2 = build_group("S4"), build_group("C2")
+    s4xc2 = semidirect_product(S4, C2, [S4.generator_ids])  # trivial action
     cases = [(G, all_subgroups(G), lambda K, M: True)
              for G in (build_group("GL(2,3)"), s4xc2)]
     # On 5^4:3, every pair out of 1 and out of the order-625 term, and the
@@ -135,7 +136,7 @@ def test_s4_catalogue_of_verdicts():
     S4 = build_group("S4")
     lines = cyclic_subgroups_of_order(S4, 2)
     verdicts = {H: satisfies_partial_pi(S4, H).satisfied for H in lines}
-    v4 = sylow_subgroup(S4, 2, within=p_prime_residual(S4, 3))
+    v4 = sylow_subgroup(S4, 2, within=p_residual(S4, 2))
     for H, ok in verdicts.items():
         assert ok is (not H.ids <= v4.ids)
     assert sum(verdicts.values()) == 6
@@ -220,11 +221,11 @@ def test_foreign_subgroup_rejected():
 
 def test_within_restricts_the_ambient_group():
     S4 = build_group("S4")
-    v4 = sylow_subgroup(S4, 2, within=p_prime_residual(S4, 3))
+    v4 = sylow_subgroup(S4, 2, within=p_residual(S4, 2))
     dt = next(H for H in cyclic_subgroups_of_order(S4, 2) if H.ids <= v4.ids)
     assert not satisfies_partial_pi(S4, dt).satisfied
     assert satisfies_partial_pi_within(S4, dt, v4).satisfied
-    a4 = p_prime_residual(S4, 3)
+    a4 = p_residual(S4, 2)
     # the line still has normalizer index 3 inside A4, so it fails there too
     assert not satisfies_partial_pi_within(S4, dt, a4).satisfied
     with pytest.raises(ValueError):
@@ -233,7 +234,7 @@ def test_within_restricts_the_ambient_group():
 
 def test_witness_through_a_chosen_term():
     S4 = build_group("S4")
-    a4 = p_prime_residual(S4, 3)
+    a4 = p_residual(S4, 2)
     v4 = sylow_subgroup(S4, 2, within=a4)
     wit = witness_series_through(S4, v4, a4)
     assert wit is not None and wit.verify()

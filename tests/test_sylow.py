@@ -8,8 +8,8 @@ import pytest
 
 from gpi.arith import p_part
 from gpi.catalog import build_group, from_description, group_names
-from gpi.groups import LimitExceeded, Subgroup, closure_ids, recognize_small
-from gpi.structure import derived_subgroup, frattini_subgroup_of_p_subgroup, p_prime_residual
+from gpi.groups import LimitExceeded, Subgroup, closure_ids
+from gpi.structure import derived_subgroup, frattini_subgroup_of_p_subgroup, p_residual
 from gpi.sylow import (
     all_subgroups,
     cyclic_subgroups_of_order,
@@ -20,7 +20,12 @@ from gpi.sylow import (
     two_minimal_subgroups,
 )
 
-from oracles import brute_all_subgroups, brute_has_q8_section, brute_subgroups_of_order
+from oracles import (
+    brute_all_subgroups,
+    brute_has_q8_section,
+    brute_subgroups_of_order,
+    brute_two_group_shape,
+)
 
 
 def _is_sylow(G, P, p, within=None):
@@ -44,17 +49,19 @@ def test_sylow_orders_across_catalog():
 
 
 def test_sylow_shapes():
-    q8 = sylow_subgroup(build_group("SL(2,3)"), 2)
-    assert recognize_small(q8).is_q8
-    d8 = sylow_subgroup(build_group("S4"), 2)
-    assert recognize_small(d8).is_dihedral_2group
+    sl23 = build_group("SL(2,3)")
+    q8 = sylow_subgroup(sl23, 2)
+    assert q8.order == 8 and brute_two_group_shape(sl23, q8.ids) == "quaternion"
+    s4 = build_group("S4")
+    d8 = sylow_subgroup(s4, 2)
+    assert brute_two_group_shape(s4, d8.ids) == "dihedral"
     uv = sylow_subgroup(build_group("5^4:3"), 5).as_group()[0]
     assert uv.is_abelian() and uv.exponent() == 5
 
 
 def test_sylow_within_subgroup():
     G = build_group("S4")
-    a4 = p_prime_residual(G, 3)
+    a4 = p_residual(G, 2)
     assert a4.order == 12
     P = sylow_subgroup(G, 2, within=a4)
     assert _is_sylow(G, P, 2, within=a4)
@@ -282,7 +289,7 @@ def test_quaternion_free_on_large_two_groups():
     reflection = [[i, 32 - i] for i in range(1, 16)]
     D64 = from_description({"type": "perm", "degree": 32,
                             "generators": [[list(range(32))], reflection]})
-    assert D64.n == 64 and recognize_small(D64).is_dihedral_2group
+    assert D64.n == 64 and brute_two_group_shape(D64) == "dihedral"
     start = time.perf_counter()
     assert is_quaternion_free(D64) is True
     assert time.perf_counter() - start < 1.0
