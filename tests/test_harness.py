@@ -135,6 +135,14 @@ def test_t14_on_a_cyclic_sylow_beyond_order_512():
     assert rep.ok
 
 
+def test_verify_all_covers_every_theorem():
+    # One ok report per theorem, in THEOREM_IDS order, for a single group.
+    reports = run_corpus(names=["SL(2,3)"])
+    assert [r.theorem for r in reports] == list(THEOREM_IDS)
+    assert {r.group for r in reports} == {"SL(2,3)"}
+    assert all(r.ok for r in reports)
+
+
 def test_run_corpus_zero_violations():
     reports = run_corpus(names=["S4", "A5", "SL(2,3)"])
     assert [(r.group, r.theorem) for r in reports] == [
