@@ -29,8 +29,6 @@ cyc = Perm.from_cycles
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    order: int
-    description: str
     tags: frozenset
     build: Callable[[], FiniteGroup] = field(compare=False)
 
@@ -128,52 +126,41 @@ def _big_example():
 def _entries() -> list[CatalogEntry]:
     corpus = {"corpus"}
     e = [
-        ("S3", 6, "symmetric group on 3 points", corpus, _symmetric, (3,)),
-        ("S4", 24, "symmetric group on 4 points", corpus, _symmetric, (4,)),
-        ("S5", 120, "symmetric group on 5 points", corpus, _symmetric, (5,)),
-        ("S6", 720, "symmetric group on 6 points", corpus, _symmetric, (6,)),
-        ("A4", 12, "alternating group on 4 points", corpus,
-         _perm, ("A4", 4, [[(0, 1, 2)], [(0, 1), (2, 3)]])),
-        ("A5", 60, "alternating group on 5 points", corpus,
-         _perm, ("A5", 5, [[(0, 1, 2, 3, 4)], [(0, 1, 2)]])),
-        ("C2", 2, "cyclic of order 2", set(), _cyclic, ("C2", 2)),
-        ("C3", 3, "cyclic of order 3", set(), _cyclic, ("C3", 3)),
-        ("C4", 4, "cyclic of order 4", set(), _cyclic, ("C4", 4)),
-        ("C5", 5, "cyclic of order 5", set(), _cyclic, ("C5", 5)),
-        ("C8", 8, "cyclic of order 8", set(), _cyclic, ("C8", 8)),
-        ("C9", 9, "cyclic of order 9", set(), _cyclic, ("C9", 9)),
-        ("C12", 12, "cyclic of order 12", corpus, _cyclic, ("C12", 12)),
-        ("C2^2", 4, "elementary abelian of order 4", set(), _elementary, ("C2^2", 2, 2)),
-        ("C2^3", 8, "elementary abelian of order 8", set(), _elementary, ("C2^3", 2, 3)),
-        ("C2^4", 16, "elementary abelian of order 16", corpus,
-         _elementary, ("C2^4", 2, 4)),
-        ("C3^2", 9, "elementary abelian of order 9", corpus, _elementary, ("C3^2", 3, 2)),
-        ("C5^2", 25, "elementary abelian of order 25", set(), _elementary, ("C5^2", 5, 2)),
-        ("C4xC2", 8, "abelian of type (4,2)", set(),
-         _perm, ("C4xC2", 6, [[(0, 1, 2, 3)], [(4, 5)]])),
-        ("D8", 8, "dihedral of order 8", corpus,
-         _perm, ("D8", 4, [[(0, 1, 2, 3)], [(1, 3)]])),
-        ("D16", 16, "dihedral of order 16", corpus,
-         _perm, ("D16", 8, [[tuple(range(8))], [(1, 7), (2, 6), (3, 5)]])),
-        ("Q8", 8, "quaternion group", corpus,
+        ("S3", corpus, _symmetric, (3,)),
+        ("S4", corpus, _symmetric, (4,)),
+        ("S5", corpus, _symmetric, (5,)),
+        ("S6", corpus, _symmetric, (6,)),
+        ("A4", corpus, _perm, ("A4", 4, [[(0, 1, 2)], [(0, 1), (2, 3)]])),
+        ("A5", corpus, _perm, ("A5", 5, [[(0, 1, 2, 3, 4)], [(0, 1, 2)]])),
+        ("C2", set(), _cyclic, ("C2", 2)),
+        ("C3", set(), _cyclic, ("C3", 3)),
+        ("C4", set(), _cyclic, ("C4", 4)),
+        ("C5", set(), _cyclic, ("C5", 5)),
+        ("C8", set(), _cyclic, ("C8", 8)),
+        ("C9", set(), _cyclic, ("C9", 9)),
+        ("C12", corpus, _cyclic, ("C12", 12)),
+        ("C2^2", set(), _elementary, ("C2^2", 2, 2)),
+        ("C2^3", set(), _elementary, ("C2^3", 2, 3)),
+        ("C2^4", corpus, _elementary, ("C2^4", 2, 4)),
+        ("C3^2", corpus, _elementary, ("C3^2", 3, 2)),
+        ("C5^2", set(), _elementary, ("C5^2", 5, 2)),
+        ("C4xC2", set(), _perm, ("C4xC2", 6, [[(0, 1, 2, 3)], [(4, 5)]])),
+        ("D8", corpus, _perm, ("D8", 4, [[(0, 1, 2, 3)], [(1, 3)]])),
+        ("D16", corpus, _perm, ("D16", 8, [[tuple(range(8))], [(1, 7), (2, 6), (3, 5)]])),
+        ("Q8", corpus,
          _perm, ("Q8", 8, [[(0, 1, 2, 3), (4, 7, 5, 6)], [(0, 4, 2, 5), (1, 6, 3, 7)]])),
-        ("Q16", 16, "generalized quaternion of order 16", corpus, _dicyclic16, ()),
-        ("SD16", 16, "semidihedral of order 16", corpus,
-         _perm, ("SD16", 8, [[tuple(range(8))], [(1, 3), (2, 6), (5, 7)]])),
-        ("M16", 16, "modular maximal-cyclic of order 16", corpus,
-         _perm, ("M16", 8, [[tuple(range(8))], [(1, 5), (3, 7)]])),
-        ("C2xD8", 16, "direct product of C2 and D8", set(),
-         _perm, ("C2xD8", 6, [[(0, 1)], [(2, 3, 4, 5)], [(3, 5)]])),
-        ("SL(2,3)", 24, "special linear group over GF(3)", corpus, _sl23, ()),
-        ("GL(2,3)", 48, "general linear group over GF(3)", corpus, _gl23, ()),
-        ("SL(2,5)", 120, "special linear group over GF(5)", corpus, _sl25, ()),
-        ("5^4:3", 1875, "elementary abelian 5^4 by a fixed-point-free C3", corpus,
-         _big_example, ()),
+        ("Q16", corpus, _dicyclic16, ()),
+        ("SD16", corpus, _perm, ("SD16", 8, [[tuple(range(8))], [(1, 3), (2, 6), (5, 7)]])),
+        ("M16", corpus, _perm, ("M16", 8, [[tuple(range(8))], [(1, 5), (3, 7)]])),
+        ("C2xD8", set(), _perm, ("C2xD8", 6, [[(0, 1)], [(2, 3, 4, 5)], [(3, 5)]])),
+        ("SL(2,3)", corpus, _sl23, ()),
+        ("GL(2,3)", corpus, _gl23, ()),
+        ("SL(2,5)", corpus, _sl25, ()),
+        ("5^4:3", corpus, _big_example, ()),
     ]
     out = []
-    for name, order, desc, tags, fn, args in e:
-        out.append(CatalogEntry(name, order, desc, frozenset(tags),
-                                (lambda f=fn, a=args: f(*a))))
+    for name, tags, fn, args in e:
+        out.append(CatalogEntry(name, frozenset(tags), (lambda f=fn, a=args: f(*a))))
     return out
 
 

@@ -61,7 +61,11 @@ def _group(text: str) -> FiniteGroup:
     return from_description(text)
 
 
-def _prime(p: int) -> int:
+def _prime(G: FiniteGroup, p: int) -> int:
+    # No accepted group has an order divisible by a prime above the element
+    # ceiling, and the primality test is trial division.
+    if p > G.limits.max_elements:
+        raise ValueError(f"--prime {p} exceeds the element ceiling {G.limits.max_elements}")
     if not is_prime(p):
         raise ValueError(f"--prime wants a prime, got {p}")
     return p
@@ -183,7 +187,7 @@ def _cmd_check(args) -> int:
     if spec.startswith("family:"):
         if args.prime is None:
             raise ValueError("family subgroup specs need --prime")
-        subs = _family(G, _prime(args.prime), spec[len("family:"):])
+        subs = _family(G, _prime(G, args.prime), spec[len("family:"):])
     else:
         subs = [_subgroup_from_json(G, json.loads(spec))]
     verdicts = [satisfies_partial_pi(G, H) for H in subs]
@@ -212,7 +216,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_theorem(args) -> int:
     G = _group(args.group)
-    primes = [_prime(args.prime)] if args.prime is not None else None
+    primes = [_prime(G, args.prime)] if args.prime is not None else None
     normal = None
     if args.normal is not None:
         normal = _subgroup_from_json(G, json.loads(args.normal))

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import math
 from dataclasses import dataclass
 from itertools import compress
 
@@ -260,9 +259,6 @@ class FiniteGroup:
             self.mul(a, b) == self.mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
         )
 
-    def exponent(self) -> int:
-        return math.lcm(*(self.element_order(a) for a in range(self.n)), 1)
-
     @memo
     def parent_tree(self) -> tuple[list[int], dict[int, tuple[int, int]]]:
         """BFS discovery order and parent links (parent id, generator index).
@@ -340,11 +336,6 @@ def product_ids(G: FiniteGroup, left, right: frozenset) -> frozenset:
     labels = G.left_cosets(right)[0]
     want = set(map(labels.__getitem__, left))
     return frozenset(compress(range(G.n), map(want.__contains__, labels)))
-
-
-def conj_set(G: FiniteGroup, ids, g: int) -> frozenset:
-    ig = G.inv(g)
-    return frozenset(G.mul(G.mul(ig, s), g) for s in ids)
 
 
 class Subgroup:
@@ -426,17 +417,6 @@ class Subgroup:
     def _same_ambient(self, other: "Subgroup") -> None:
         if self.group is not other.group:
             raise ValueError("subgroups live in different ambient groups")
-
-    def intersection(self, other: "Subgroup") -> "Subgroup":
-        self._same_ambient(other)
-        return Subgroup(self.group, self.ids & other.ids)
-
-    def conjugate(self, g: int) -> "Subgroup":
-        return Subgroup(
-            self.group,
-            conj_set(self.group, self.ids, g),
-            gens=[self.group.conj(x, g) for x in self.gens],
-        )
 
     @memo
     def as_group(self) -> tuple["TableGroup", dict[int, int]]:
@@ -764,35 +744,6 @@ def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action, limits=None, name
 # -- quotients ------------------------------------------------------------------------
 
 
-class QuotientMap:
-    """Projection G -> G/N: each element goes to the number of its coset."""
-
-    def __init__(self, group: FiniteGroup, quot: TableGroup, sub: Subgroup, labels, reps):
-        self.group = group
-        self.quot = quot
-        self.sub = sub
-        self.labels = labels
-        self.reps = reps
-
-    def __call__(self, gid: int) -> int:
-        return self.labels[gid]
-
-    def image(self, sub: Subgroup) -> Subgroup:
-        if sub.group is not self.group:
-            raise ValueError("subgroup lives in a different group")
-        return self.quot.generated([self.labels[g] for g in sub.gens])
-
-    def preimage(self, subq: Subgroup) -> Subgroup:
-        """Pull back a subgroup of the quotient; costs one scan, no products."""
-        if subq.group is not self.quot:
-            raise ValueError("subgroup does not live in the quotient")
-        cosets = subq.ids
-        return Subgroup(self.group, [g for g, c in enumerate(self.labels) if c in cosets])
-
-    def kernel(self) -> Subgroup:
-        return Subgroup(self.group, (g for g, c in enumerate(self.labels) if c == 0))
-
-
 def is_normal(G: FiniteGroup, sub: Subgroup) -> bool:
     if sub.group is not G:
         raise ValueError("subgroup lives in a different group")
@@ -800,12 +751,12 @@ def is_normal(G: FiniteGroup, sub: Subgroup) -> bool:
     return all(G.conj(m, g) in ids for g in G.reduced_generator_ids() for m in sub.gens)
 
 
-def quotient(G: FiniteGroup, N: Subgroup) -> tuple[TableGroup, QuotientMap]:
-    """G/N plus the projection.  The quotient's ids are coset numbers, in
-    the order a scan of G's ids meets the cosets (so N is 0); products are
-    taken through one representative per coset.  N is normal, so its left
-    cosets are its cosets and the numbering is `G.left_cosets(N.ids)`, shared
-    with `product_ids`."""
+def quotient(G: FiniteGroup, N: Subgroup) -> tuple[TableGroup, tuple[int, ...]]:
+    """G/N plus the projection, as the coset number of each id of G.  The
+    quotient's ids are coset numbers, in the order a scan of G's ids meets
+    the cosets (so N is 0); products are taken through one representative
+    per coset.  N is normal, so its left cosets are its cosets and the
+    numbering is `G.left_cosets(N.ids)`, shared with `product_ids`."""
     G.materialize()
     if not is_normal(G, N):
         raise ValueError("cannot form the quotient: subgroup is not normal")
@@ -819,4 +770,4 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[TableGroup, QuotientMap]:
         limits=G.limits,
         name=f"{G.name}/N{N.order}" if G.name else f"quotient{len(reps)}",
     )
-    return quot, QuotientMap(G, quot, N, labels, reps)
+    return quot, labels

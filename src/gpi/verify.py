@@ -1,12 +1,14 @@
 """Machine checks of the structural theorems on concrete groups.
 
-Each checker quantifies a theorem over one group: it enumerates the
-instances (a prime, and for the normal-subgroup theorems a normal E),
-evaluates the hypothesis by sweeping the stated family of subgroups
-through the chief-series property, and tests the conclusion whenever
-the hypothesis holds.  A violation is an instance with a true
-hypothesis and a false conclusion; a correct theorem produces none on
-any group.
+Six of the seven results read: if every member of a family built from a
+Sylow p-subgroup P has the chief-series property, a conclusion holds.
+Each checker names its family; its conclusion sits in `CONCLUSIONS`,
+which the loops read at call time, so a negative control can swap one
+clause.  `_over_normals` (t11, t12) and `_over_sylows` (t13, t14, cls,
+l28) enumerate the instances, and `_instance` sweeps the family and
+tests the conclusion whenever the hypothesis holds.  A violation is a
+true hypothesis with a false conclusion; a correct theorem has none on
+any group.  l214, an equivalence, has its own loop.
 """
 
 from __future__ import annotations
@@ -81,6 +83,23 @@ LABELS = {
 }
 
 
+def _is_q8(P: Subgroup) -> bool:
+    # Q8 is the only group of order 8 with a Q8 section.
+    return P.order == 8 and not is_quaternion_free(P)
+
+
+# Each conclusion reads (G, p, E, P): E is the normal subgroup of a t11 or
+# t12 instance (None for the Sylow theorems) and P its Sylow p-subgroup.
+CONCLUSIONS = {
+    "t11": lambda G, p, E, P: p_part(E.order, p) == p or E.ids <= f_hypercenter(G, p).ids,
+    "t12": lambda G, p, E, P: E.ids <= f_hypercenter(G, p).ids,
+    "t13": lambda G, p, E, P: is_p_soluble(G, p) and p_length(G, p) <= 1,
+    "t14": lambda G, p, E, P: is_p_soluble(G, p) and p_length(G, p) <= 1,
+    "cls": lambda G, p, E, P: is_p_soluble(G, p) or P.order == p * p or _is_q8(P),
+    "l28": lambda G, p, E, P: is_p_soluble(G, p),
+}
+
+
 def _primes(n: int, primes) -> list[int]:
     base = prime_set(n)
     if primes is None:
@@ -97,29 +116,49 @@ def _normals(G: FiniteGroup, normal_only) -> list[Subgroup]:
     return [normal_only]
 
 
-def _family_all_satisfy(G: FiniteGroup, family, exhaustive: bool) -> tuple[bool, int]:
-    """Sweep the family through the property; stop at the first refusal
-    unless asked to be exhaustive."""
-    verdict = True
-    checked = 0
+def _instance(G: FiniteGroup, detail: dict, family, conclusion, exhaustive: bool) -> dict:
+    """Sweep the family through the property, stopping at the first refusal
+    unless asked to be exhaustive, and evaluate `conclusion()` when the
+    hypothesis holds (always, in exhaustive mode).  Completes `detail`."""
+    hyp, checked = True, 0
     for H in family:
         checked += 1
         if not satisfies_partial_pi(G, H).satisfied:
-            verdict = False
+            hyp = False
             if not exhaustive:
                 break
-    return verdict, checked
+    detail.update(family=len(family), checked=checked, hypothesis=hyp,
+                  conclusion=conclusion() if hyp or exhaustive else None)
+    return detail
 
 
-def _p_soluble_of_length_one(G: FiniteGroup, p: int) -> bool:
-    return is_p_soluble(G, p) and p_length(G, p) <= 1
+def _over_normals(tid: str, G: FiniteGroup, family_of, exhaustive, primes, normal_only):
+    """One instance per normal E and prime p of |E|; the family is
+    `family_of(P, p)` for P a Sylow p-subgroup of E."""
+    rep = TheoremReport(tid, LABELS[tid], G.name)
+    for E in _normals(G, normal_only):
+        for p in _primes(E.order, primes):
+            P = sylow_subgroup(G, p, within=E)
+            rep.details.append(_instance(
+                G, {"p": p, "E": E.order}, family_of(P, p),
+                lambda: CONCLUSIONS[tid](G, p, E, P), exhaustive))
+    return rep
 
 
-def _minimal_cyclic_family(G: FiniteGroup, P: Subgroup, p: int) -> list[Subgroup]:
-    family = cyclic_subgroups_of_order(P, p)
-    if p == 2 and not is_quaternion_free(P):
-        family = family + cyclic_subgroups_of_order(P, 4)
-    return family
+def _over_sylows(tid: str, G: FiniteGroup, least: int, family_of, exhaustive, primes):
+    """One instance per prime p of |G|, not applicable when the Sylow
+    p-subgroup P has order below p^least; the family is `family_of(P, p)`."""
+    rep = TheoremReport(tid, LABELS[tid], G.name)
+    for p in _primes(G.n, primes):
+        P = sylow_subgroup(G, p)
+        detail = {"p": p, "sylow": P.order}
+        if P.order < p**least:
+            detail["applicable"] = False
+        else:
+            _instance(G, detail, family_of(P, p),
+                      lambda: CONCLUSIONS[tid](G, p, None, P), exhaustive)
+        rep.details.append(detail)
+    return rep
 
 
 def verify_t11(G: FiniteGroup, exhaustive: bool = False, primes=None, normal_only=None) -> TheoremReport:
@@ -129,23 +168,8 @@ def verify_t11(G: FiniteGroup, exhaustive: bool = False, primes=None, normal_onl
     Z_{U_p}(G) is the p-hypercyclic hypercentre (`f_hypercenter`), as in
     t12: every G-chief factor below it of order divisible by p has
     order p."""
-    rep = TheoremReport("t11", LABELS["t11"], G.name)
-    for E in _normals(G, normal_only):
-        for p in _primes(E.order, primes):
-            P = sylow_subgroup(G, p, within=E)
-            family = maximal_subgroups_of_p_group(P)
-            hyp, checked = _family_all_satisfy(G, family, exhaustive)
-            concl = None
-            if hyp or exhaustive:
-                concl = (
-                    p_part(E.order, p) == p
-                    or E.ids <= f_hypercenter(G, p).ids
-                )
-            rep.details.append(
-                {"p": p, "E": E.order, "family": len(family), "checked": checked,
-                 "hypothesis": hyp, "conclusion": concl}
-            )
-    return rep
+    return _over_normals("t11", G, lambda P, p: maximal_subgroups_of_p_group(P),
+                         exhaustive, primes, normal_only)
 
 
 def verify_t12(G: FiniteGroup, exhaustive: bool = False, primes=None, normal_only=None) -> TheoremReport:
@@ -160,41 +184,17 @@ def verify_t12(G: FiniteGroup, exhaustive: bool = False, primes=None, normal_onl
     a p'-factor; under it the theorem fails on ASL(2,3) = 3^2:SL(2,3)
     with p = 2 and |E| = 18, whose family <-I> has the property while
     G/C_G(3^2) = SL(2,3) is not 2-supersoluble."""
-    rep = TheoremReport("t12", LABELS["t12"], G.name)
-    for E in _normals(G, normal_only):
-        for p in _primes(E.order, primes):
-            P = sylow_subgroup(G, p, within=E)
-            family = _minimal_cyclic_family(G, P, p)
-            hyp, checked = _family_all_satisfy(G, family, exhaustive)
-            concl = None
-            if hyp or exhaustive:
-                concl = E.ids <= f_hypercenter(G, p).ids
-            rep.details.append(
-                {"p": p, "E": E.order, "family": len(family), "checked": checked,
-                 "hypothesis": hyp, "conclusion": concl}
-            )
-    return rep
+    def family_of(P, p):
+        fours = cyclic_subgroups_of_order(P, 4) if p == 2 and not is_quaternion_free(P) else []
+        return cyclic_subgroups_of_order(P, p) + fours
+
+    return _over_normals("t12", G, family_of, exhaustive, primes, normal_only)
 
 
 def verify_t13(G: FiniteGroup, exhaustive: bool = False, primes=None) -> TheoremReport:
     """Sylow p-subgroup of order at least p^2 with every subgroup of order
     p^2 having the property: G is p-soluble of p-length at most 1."""
-    rep = TheoremReport("t13", LABELS["t13"], G.name)
-    for p in _primes(G.n, primes):
-        P = sylow_subgroup(G, p)
-        if P.order < p * p:
-            rep.details.append({"p": p, "sylow": P.order, "applicable": False})
-            continue
-        family = two_minimal_subgroups(P, p)
-        hyp, checked = _family_all_satisfy(G, family, exhaustive)
-        concl = None
-        if hyp or exhaustive:
-            concl = _p_soluble_of_length_one(G, p)
-        rep.details.append(
-            {"p": p, "sylow": P.order, "family": len(family), "checked": checked,
-             "hypothesis": hyp, "conclusion": concl}
-        )
-    return rep
+    return _over_sylows("t13", G, 2, two_minimal_subgroups, exhaustive, primes)
 
 
 def verify_t14(G: FiniteGroup, exhaustive: bool = False, primes=None) -> TheoremReport:
@@ -202,66 +202,24 @@ def verify_t14(G: FiniteGroup, exhaustive: bool = False, primes=None) -> Theorem
     p^2 in it having the property (plus every cyclic subgroup of order 4,
     when that Sylow is the order-8 quaternion group): G is p-soluble of
     p-length at most 1."""
-    rep = TheoremReport("t14", LABELS["t14"], G.name)
-    for p in _primes(G.n, primes):
-        P = sylow_subgroup(G, p)
-        if P.order < p**3:
-            rep.details.append({"p": p, "sylow": P.order, "applicable": False})
-            continue
-        family = list(two_maximal_subgroups_of_p_group(P))
-        if P.order == 8 and not is_quaternion_free(P):  # P is Q8
-            family += cyclic_subgroups_of_order(P, 4)
-        hyp, checked = _family_all_satisfy(G, family, exhaustive)
-        concl = None
-        if hyp or exhaustive:
-            concl = _p_soluble_of_length_one(G, p)
-        rep.details.append(
-            {"p": p, "sylow": P.order, "family": len(family), "checked": checked,
-             "hypothesis": hyp, "conclusion": concl}
-        )
-    return rep
+    def family_of(P, p):
+        fours = cyclic_subgroups_of_order(P, 4) if _is_q8(P) else []
+        return two_maximal_subgroups_of_p_group(P) + fours
+
+    return _over_sylows("t14", G, 3, family_of, exhaustive, primes)
 
 
 def verify_cls(G: FiniteGroup, exhaustive: bool = False, primes=None) -> TheoremReport:
     """Sylow p-subgroup of order at least p^2 with every subgroup of index
     p^2 in it having the property: G is p-soluble, or that Sylow has order
     exactly p^2, or p = 2 and it is the order-8 quaternion group."""
-    rep = TheoremReport("cls", LABELS["cls"], G.name)
-    for p in _primes(G.n, primes):
-        P = sylow_subgroup(G, p)
-        if P.order < p * p:
-            rep.details.append({"p": p, "sylow": P.order, "applicable": False})
-            continue
-        family = two_maximal_subgroups_of_p_group(P)
-        hyp, checked = _family_all_satisfy(G, family, exhaustive)
-        concl = None
-        if hyp or exhaustive:
-            concl = (
-                is_p_soluble(G, p)
-                or P.order == p * p
-                or (P.order == 8 and not is_quaternion_free(P))  # P is Q8
-            )
-        rep.details.append(
-            {"p": p, "sylow": P.order, "family": len(family), "checked": checked,
-             "hypothesis": hyp, "conclusion": concl}
-        )
-    return rep
+    return _over_sylows("cls", G, 2, lambda P, p: two_maximal_subgroups_of_p_group(P),
+                        exhaustive, primes)
 
 
 def verify_l28(G: FiniteGroup, exhaustive: bool = False, primes=None) -> TheoremReport:
     """A Sylow p-subgroup with the property forces G to be p-soluble."""
-    rep = TheoremReport("l28", LABELS["l28"], G.name)
-    for p in _primes(G.n, primes):
-        P = sylow_subgroup(G, p)
-        hyp = satisfies_partial_pi(G, P).satisfied
-        concl = None
-        if hyp or exhaustive:
-            concl = is_p_soluble(G, p)
-        rep.details.append(
-            {"p": p, "sylow": P.order, "family": 1, "checked": 1,
-             "hypothesis": hyp, "conclusion": concl}
-        )
-    return rep
+    return _over_sylows("l28", G, 1, lambda P, p: [P], exhaustive, primes)
 
 
 def verify_l214(G: FiniteGroup, exhaustive: bool = False, primes=None) -> TheoremReport:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,21 @@ def test_theorem_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["theorem", "--id", "nope", "--group", "S4"])
     assert exc.value.code == 2
+
+
+def test_prime_above_the_element_ceiling_exits_2_at_once(capsys):
+    # Trial division to sqrt(p) would run for hours; no accepted group has
+    # an order divisible by a prime above the element ceiling.
+    huge = "1000000000000000003"
+    for argv in (("check", "--group", "S4", "--prime", huge, "--subgroup", "family:sylow"),
+                 ("theorem", "--id", "t13", "--group", "S4", "--prime", huge)):
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "element ceiling" in err
+        assert time.perf_counter() - start < 1.0
+    for argv in (("check", "--group", "S4", "--prime", "7", "--subgroup", "family:sylow"),
+                 ("theorem", "--id", "t13", "--group", "S4", "--prime", "7")):
+        assert run(capsys, *argv)[0] == 0
 
 
 def test_theorem_normal_restriction(capsys):

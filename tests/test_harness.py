@@ -2,18 +2,30 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 
 import pytest
 
 from gpi import groups
+from gpi.arith import p_part
 from gpi.catalog import build_group, corpus_names
 from gpi.cli import main
+from gpi.formations import f_hypercenter
 from gpi.groups import LimitExceeded, Subgroup, TableGroup
-from gpi.series import minimal_normal_overgroups, normal_subgroups
+from gpi.series import (
+    hypercenter,
+    is_p_soluble,
+    minimal_normal_overgroups,
+    normal_subgroups,
+    p_prime_core,
+)
+from gpi.sylow import is_quaternion_free
 from gpi import verify as verify_mod
 from gpi.verify import (
     CHECKERS,
+    CONCLUSIONS,
     LABELS,
     THEOREM_IDS,
     run_corpus,
@@ -218,9 +230,57 @@ def _doerk_hawkes_hypercenter(G, p):
             return Z
 
 
-def test_t12_fails_on_asl23_under_the_doerk_hawkes_reading(monkeypatch):
-    # Negative control: <-I> has the property in 3^2:<-I>, but
-    # G/C_G(3^2) = SL(2,3) is not 2-supersoluble, so that hypercentre is 1.
-    monkeypatch.setattr(verify_mod, "f_hypercenter", _doerk_hawkes_hypercenter)
-    rep = verify_theorem("t12", affine_group("ASL(2,3)"))
-    assert [(d["p"], d["E"]) for d in rep.violations] == [(2, 18)]
+def _p_nilpotent(G, p):
+    return p_prime_core(G, p).order * p_part(G.n, p) == G.n
+
+
+def _is_q8(P):
+    return P.order == 8 and not is_quaternion_free(P)
+
+
+# Negative controls: each row swaps one theorem's conclusion for a mutant
+# that drops a clause or strengthens one, and names the instances, as
+# (p, |E|) or (p, |P|), where the mutant is violated on one group.
+NEGATIVE_CONTROLS = [
+    pytest.param("t11", lambda G, p, E, P: E.ids <= f_hypercenter(G, p).ids,
+                 "A5", [(3, 60), (5, 60)], id="t11-without-p-part-p"),
+    pytest.param("t11", lambda G, p, E, P: p_part(E.order, p) == p,
+                 "C12", [(2, 4), (2, 12)], id="t11-without-hypercentre"),
+    # <-I> has the property in 3^2:<-I>, but G/C_G(3^2) = SL(2,3) is not
+    # 2-supersoluble, so the Doerk-Hawkes hypercentre is 1.
+    pytest.param("t12", lambda G, p, E, P: E.ids <= _doerk_hawkes_hypercenter(G, p).ids,
+                 "ASL(2,3)", [(2, 18)], id="t12-doerk-hawkes"),
+    pytest.param("t12", lambda G, p, E, P: E.ids <= hypercenter(G).ids,
+                 "S3", [(3, 3), (2, 6), (3, 6)], id="t12-plain-hypercentre"),
+    pytest.param("t13", lambda G, p, E, P: _p_nilpotent(G, p),
+                 "A4", [(2, 4)], id="t13-p-nilpotent"),
+    pytest.param("t14", lambda G, p, E, P: _p_nilpotent(G, p),
+                 "5^4:3", [(5, 625)], id="t14-p-nilpotent"),
+    pytest.param("cls", lambda G, p, E, P: is_p_soluble(G, p) or P.order == p * p,
+                 "SL(2,5)", [(2, 8)], id="cls-without-q8"),
+    pytest.param("cls", lambda G, p, E, P: is_p_soluble(G, p) or _is_q8(P),
+                 "A5", [(2, 4)], id="cls-without-p-squared"),
+    pytest.param("cls", lambda G, p, E, P: P.order == p * p or _is_q8(P),
+                 "D8", [(2, 8)], id="cls-without-p-soluble"),
+    pytest.param("l28", lambda G, p, E, P: _p_nilpotent(G, p),
+                 "S4", [(2, 8), (3, 3)], id="l28-p-nilpotent"),
+]
+
+
+@pytest.mark.parametrize("tid, conclusion, name, killed", NEGATIVE_CONTROLS)
+def test_negative_control_kills_the_mutated_conclusion(monkeypatch, tid, conclusion, name, killed):
+    G = affine_group(name) if name in AFFINE else build_group(name)
+    assert verify_theorem(tid, G).ok
+    monkeypatch.setitem(CONCLUSIONS, tid, conclusion)
+    rep = verify_theorem(tid, G)
+    assert [(d["p"], d.get("E", d.get("sylow"))) for d in rep.violations] == killed
+
+
+@pytest.mark.parametrize("exhaustive, digest", [
+    (False, "556b83c153af5cc578b161952e627c842b30d77f9b3a51942a1657bfd43c64d3"),
+    (True, "da7bf65137bcd9312d6c5cb88e341c0031dc0a1a66369202c01f032343670b95"),
+])
+def test_corpus_reports_are_pinned_in_both_sweep_modes(exhaustive, digest):
+    reports = run_corpus(exhaustive=exhaustive)
+    blob = json.dumps([r.to_json() for r in reports], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
