@@ -32,8 +32,6 @@ from .partialpi import (
     PiWitness,
     factor_condition,
     satisfies_partial_pi,
-    satisfies_partial_pi_within,
-    witness_series_through,
 )
 from .perm import Perm
 from .series import (
@@ -109,7 +107,6 @@ __all__ = [
     "prime_set",
     "run_corpus",
     "satisfies_partial_pi",
-    "satisfies_partial_pi_within",
     "semidirect_product",
     "socle",
     "Subgroup",
@@ -120,5 +117,4 @@ __all__ = [
     "two_maximal_subgroups_of_p_group",
     "two_minimal_subgroups",
     "verify_theorem",
-    "witness_series_through",
 ]

@@ -24,8 +24,28 @@ def prime_set(n: int) -> tuple[int, ...]:
     return tuple(sorted(factorize(n)))
 
 
+# Miller-Rabin on the first 13 primes as bases is exact below the least
+# composite that passes all of them (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and prime_set(n) == (n,)
+    """Deterministic Miller-Rabin; n at or above `_MR_BOUND` raises ValueError."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is decided only below {_MR_BOUND}, got {n}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:  # a is a witness unless a^d = 1 or a^(d 2^r) = -1, r < s
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
 
 
 def is_pi_number(n: int, pi) -> bool:

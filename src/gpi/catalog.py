@@ -2,7 +2,7 @@
 
 Permutation entries are written as cycle tuples; the table-backed entries
 (the dicyclic group of order 16, the big semidirect example) carry explicit
-product formulas.  Built groups are cached per name, since every handle
+product formulas on ids.  Built groups are cached per name, since every handle
 memoises its own lattice work; pass fresh=True to rebuild from scratch.
 """
 
@@ -51,26 +51,25 @@ def _elementary(name, p, k):
 
 
 def _dicyclic16():
-    dom = sorted(((k, e) for e in (0, 1) for k in range(8)), key=lambda t: (t[1], t[0]))
+    """<a, b | a^8 = 1, b^2 = a^4, b^-1 a b = a^-1>, with a^k b^e as id 8e + k."""
 
     def mul(x, y):
-        k1, e1 = x
-        k2, e2 = y
+        e1, k1 = divmod(x, 8)
+        e2, k2 = divmod(y, 8)
         if e1 == 0:
-            return ((k1 + k2) % 8, e2)
+            return 8 * e2 + (k1 + k2) % 8
         if e2 == 0:
-            return ((k1 - k2) % 8, 1)
-        return ((k1 - k2 + 4) % 8, 0)
+            return 8 + (k1 - k2) % 8
+        return (k1 - k2 + 4) % 8
 
     def inv(x):
-        k, e = x
-        return ((-k) % 8, 0) if e == 0 else ((k + 4) % 8, 1)
+        e, k = divmod(x, 8)
+        return 8 + (k + 4) % 8 if e else -k % 8
 
     def show(x):
-        k, e = x
-        return f"a{k}" + ("b" if e else "")
+        return f"a{x % 8}" + ("b" if x >= 8 else "")
 
-    return TableGroup(dom, mul, inv, gens=[(1, 0), (0, 1)], label_fn=show, name="Q16")
+    return TableGroup(16, mul, inv, gens=[1, 8], label_fn=show, name="Q16")
 
 
 def _linear(name, p, mats, degree=None):
@@ -115,9 +114,9 @@ def _big_example():
     neg = [idx[(-v0 % 5, -v1 % 5, -v2 % 5, -v3 % 5)] for v0, v1, v2, v3 in base]
     gens = [idx[(1, 0, 0, 0)], idx[(0, 1, 0, 0)], idx[(0, 0, 1, 0)], idx[(0, 0, 0, 1)]]
     labels = [str(v) for v in base]
-    N = TableGroup(range(625), lambda a, b: table[a * 625 + b], neg.__getitem__, gens=gens,
+    N = TableGroup(625, lambda a, b: table[a * 625 + b], neg.__getitem__, gens=gens,
                    label_fn=labels.__getitem__, name="C5^4")
-    C3 = TableGroup(range(3), lambda a, b: (a + b) % 3, lambda a: -a % 3, gens=[1],
+    C3 = TableGroup(3, lambda a, b: (a + b) % 3, lambda a: -a % 3, gens=[1],
                     label_fn=("e", "t", "t2").__getitem__, name="C3")
     action = [[idx[(0, 1, 0, 0)], idx[(4, 4, 0, 0)], idx[(0, 0, 0, 1)], idx[(0, 0, 4, 4)]]]
     return semidirect_product(N, C3, action, name="5^4:3")

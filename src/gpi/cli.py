@@ -63,7 +63,7 @@ def _group(text: str) -> FiniteGroup:
 
 def _prime(G: FiniteGroup, p: int) -> int:
     # No accepted group has an order divisible by a prime above the element
-    # ceiling, and the primality test is trial division.
+    # ceiling.
     if p > G.limits.max_elements:
         raise ValueError(f"--prime {p} exceeds the element ceiling {G.limits.max_elements}")
     if not is_prime(p):

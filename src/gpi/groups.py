@@ -2,10 +2,10 @@
 
 Two backends exist: permutation groups (generators given as `Perm`s, order
 decided by a stabilizer chain, elements enumerated lazily) and table groups
-(an element domain with a product function).  Table groups serve re-rooted
-subgroups, hand-built groups, semidirect products (a direct product has
-trivial action rows) and quotients, which only tests form; the last two
-compute directly on ids.  Once materialised, every handle looks the same:
+(an order and product and inverse functions on ids).  Table groups serve
+re-rooted subgroups, hand-built groups, semidirect products (a direct
+product has trivial action rows) and quotients, which only tests form.
+Once materialised, every handle looks the same:
 elements are the ids 0..n-1 with 0 the identity, `mul`/`inv` work on ids,
 and a subgroup is a canonical frozen set of ids.  All structural algorithms
 in the package are written once against that face.
@@ -97,7 +97,7 @@ class FiniteGroup:
     """Common face of the two backends, `PermGroup` and `TableGroup`.
 
     Subclasses fill in `order`, `_build`, `mul`, `inv` and `label` (a
-    `TableGroup` sets `mul` and `inv` on the instance when it materialises);
+    `TableGroup` sets `mul` and `inv` on the instance);
     everything else (element orders, conjugacy class representatives,
     generator reduction, subgroup constructors) is shared.
     """
@@ -188,7 +188,7 @@ class FiniteGroup:
 
         Costs 2n products per generator, once per group.
         """
-        n = self.n  # materialises first, which sets mul on a translated TableGroup
+        n = self.n
         mul = self.mul
         out = []
         for g in self.reduced_generator_ids():
@@ -204,7 +204,7 @@ class FiniteGroup:
         x, and reps[c] is the first id of coset c, so the identity's coset
         is 0.  Costs n products, once per group and id-set.
         """
-        n = self.n  # before reading mul, as above
+        n = self.n
         mul = self.mul
         labels = [-1] * n
         reps: list[int] = []
@@ -347,7 +347,7 @@ class Subgroup:
 
     __slots__ = ("group", "ids", "_gens")
 
-    def __init__(self, group: FiniteGroup, ids, gens=None, check: bool = False):
+    def __init__(self, group: FiniteGroup, ids, gens=None):
         group.materialize()
         idset = frozenset(ids) or frozenset((0,))
         if 0 not in idset:
@@ -359,12 +359,6 @@ class Subgroup:
         self.group = group
         self.ids = idset
         self._gens = None if gens is None else [g for g in dict.fromkeys(gens) if g != 0]
-        if check:
-            self._verify()
-
-    def _verify(self) -> None:
-        if closure_ids(self.group, self.gens) != self.ids:
-            raise ValueError("id-set is not closed under the group product")
 
     @property
     def order(self) -> int:
@@ -422,18 +416,20 @@ class Subgroup:
     def as_group(self) -> tuple["TableGroup", dict[int, int]]:
         """Re-root as a standalone group; also returns the ambient->new id map.
 
-        The new handle shares the ambient product, so the action is faithful
-        by construction regardless of backend.
+        The new ids number the ambient ids in sorted order, and the new
+        handle computes through the ambient product, so the action is
+        faithful by construction regardless of backend.
         """
         amb = self.group
         domain = sorted(self.ids)
         to_new = {a: i for i, a in enumerate(domain)}
+        amul, ainv = amb.mul, amb.inv
         sub = TableGroup(
-            domain,
-            mul_fn=amb.mul,
-            inv_fn=amb.inv,
-            gens=self.gens,
-            label_fn=amb.label,
+            len(domain),
+            lambda a, b: to_new[amul(domain[a], domain[b])],
+            lambda a: to_new[ainv(domain[a])],
+            gens=[to_new[g] for g in self.gens],
+            label_fn=lambda a: amb.label(domain[a]),
             limits=amb.limits,
             name=f"{amb.name}|{len(domain)}" if amb.name else f"sub{len(domain)}",
         )
@@ -557,72 +553,48 @@ class PermGroup(FiniteGroup):
 
 
 class TableGroup(FiniteGroup):
-    """Group over an explicit element domain with caller-supplied operations.
+    """Group on the ids 0..n-1 with caller-supplied functions on ids.
 
-    domain[0] must be the identity.  A `range(n)` domain says the caller's
-    functions already act on the ids 0..n-1 (semidirect products, quotients,
-    product tables); any other domain is translated to ids by position
-    (re-rooted subgroups, whose domain is ambient ids, and small hand-built
-    groups with a product formula).  `mul` and `inv` are plain functions on
-    ids, set on the instance (for a translated domain, at materialisation).
+    Id 0 must be the identity; `mul` and `inv` are set on the instance as
+    given.  Semidirect products, quotients, re-rooted subgroups and flat
+    product tables all compute on ids directly.
     """
 
     def __init__(
         self,
-        domain,
-        mul_fn,
-        inv_fn,
+        n: int,
+        mul,
+        inv,
         gens=None,
         label_fn=None,
         limits: Limits | None = None,
         name: str = "",
     ):
         super().__init__(limits, name)
-        if isinstance(domain, range) and domain == range(len(domain)):
-            self._domain = domain
-            self.mul, self.inv = mul_fn, inv_fn
-        else:
-            self._domain = list(domain)
-        if len(self._domain) > self.limits.max_elements:
-            raise LimitExceeded(
-                f"domain of size {len(self._domain)} exceeds the element ceiling"
-            )
-        if not self._domain:
-            raise ValueError("empty domain")
-        self._mul_fn = mul_fn
-        self._inv_fn = inv_fn
+        if n > self.limits.max_elements:
+            raise LimitExceeded(f"order {n} exceeds the element ceiling")
+        if n < 1:
+            raise ValueError("empty group")
+        if mul(0, 0) != 0:
+            raise ValueError("id 0 is not the identity")
+        self._order = n
+        self.mul, self.inv = mul, inv
         self._label_fn = label_fn
         self._given_gens = list(gens) if gens is not None else None
-        e = self._domain[0]
-        if mul_fn(e, e) != e:
-            raise ValueError("domain[0] is not the identity")
 
     def order(self) -> int:
-        return len(self._domain)
+        return self._order
 
     def _build(self) -> None:
-        n = self._n = len(self._domain)
-        ids: dict = {}
-        if not isinstance(self._domain, range):
-            dom, mul_fn, inv_fn = self._domain, self._mul_fn, self._inv_fn
-            ids = {x: i for i, x in enumerate(dom)}
-            if len(ids) != n:
-                raise ValueError("domain contains repeated elements")
-            self.mul = lambda a, b: ids[mul_fn(dom[a], dom[b])]
-            self.inv = lambda a: ids[inv_fn(dom[a])]
-        if self._given_gens is None:
-            gens = list(range(1, n))
-        else:
-            gens = [ids.get(x, x) for x in self._given_gens]
-            for g in gens:
-                if not isinstance(g, int) or not 0 <= g < n:
-                    raise ValueError(f"generator {g!r} is not in the domain")
+        n = self._n = self._order
+        gens = list(range(1, n)) if self._given_gens is None else self._given_gens
+        for g in gens:
+            if not isinstance(g, int) or not 0 <= g < n:
+                raise ValueError(f"generator {g!r} is not an id of the group")
         self._gen_ids = gens
 
     def label(self, a: int) -> str:
-        if self._label_fn is not None:
-            return self._label_fn(self._domain[a])
-        return repr(self._domain[a])
+        return repr(a) if self._label_fn is None else self._label_fn(a)
 
 
 # -- homomorphism extension --------------------------------------------------------
@@ -731,7 +703,7 @@ def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action, limits=None, name
         return f"({N.label(n)}; {Q.label(q)})"
 
     return TableGroup(
-        range(N.n * qn),
+        N.n * qn,
         mul,
         inv,
         gens=[g * qn for g in ngens] + qgens,
@@ -763,7 +735,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[TableGroup, tuple[int, ...]]:
     labels, reps = G.left_cosets(N.ids)
     gmul, ginv = G.mul, G.inv
     quot = TableGroup(
-        range(len(reps)),
+        len(reps),
         lambda a, b: labels[gmul(reps[a], reps[b])],
         lambda a: labels[ginv(reps[a])],
         gens=[c for c in dict.fromkeys(labels[g] for g in G.generator_ids) if c],

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arith import is_pi_number, prime_set
-from .groups import FiniteGroup, Subgroup, is_normal, memo
+from .groups import FiniteGroup, Subgroup, memo
 from .series import ChiefSeries, minimal_normal_overgroups
 from .structure import normalizer_index
 
@@ -156,22 +156,24 @@ def _describe(H: Subgroup) -> dict:
     }
 
 
-def _search(G: FiniteGroup, H: Subgroup, keep, reverse: bool = False):
-    """Depth-first search for a passing chief series of G.
+@memo
+def satisfies_partial_pi(G: FiniteGroup, H: Subgroup):
+    """Decide the property for H in G.
 
-    Steps from a term K go to the minimal normal overgroups M with
-    `keep(K, M)`, one at a time.  Terms from which no passing completion
-    exists are memoised, so each is expanded once.  Returns the witness,
-    or None, and the checks of every dead term.
+    Depth-first search over the chief series tree: steps from a term K go
+    to its minimal normal overgroups, one at a time.  Terms from which no
+    passing completion exists are memoised, so each is expanded once;
+    when the trivial term is among them, their checks are the refusal.
     """
+    if H.group is not G:
+        raise ValueError("subgroup belongs to a different group")
     dead: dict[frozenset[int], list[FactorCheck]] = {}
 
     def explore(state: Subgroup, terms: list[Subgroup], checks: list[FactorCheck]):
         if state.is_full:
             return PiWitness(G, H, terms, checks)
         seen: list[FactorCheck] = []
-        succ = [M for M in minimal_normal_overgroups(G, state) if keep(state, M)]
-        for M in reversed(succ) if reverse else succ:
+        for M in minimal_normal_overgroups(G, state):
             fc = factor_condition(G, H, state, M)
             seen.append(fc)
             if not fc.passed or M.ids in dead:
@@ -183,44 +185,8 @@ def _search(G: FiniteGroup, H: Subgroup, keep, reverse: bool = False):
         return None
 
     trivial = G.trivial_subgroup()
-    return explore(trivial, [trivial], []), dead
-
-
-@memo
-def satisfies_partial_pi(G: FiniteGroup, H: Subgroup, reverse: bool = False):
-    """Decide the property for H in G.
-
-    Depth-first search over the chief series tree, one minimal normal
-    overgroup at a time.  `reverse` flips the successor order; the verdict
-    must not depend on it.
-    """
-    if H.group is not G:
-        raise ValueError("subgroup belongs to a different group")
-    found, dead = _search(G, H, lambda K, M: True, reverse)
+    found = explore(trivial, [trivial], [])
     if found is not None:
         return found
     states = sorted(dead, key=lambda ids: (len(ids), sorted(ids)))
     return PiRefusal(G, H, [(Subgroup(G, ids), dead[ids]) for ids in states])
-
-
-def satisfies_partial_pi_within(G: FiniteGroup, H: Subgroup, N: Subgroup, reverse: bool = False):
-    """Decide the property for H inside the intermediate group N."""
-    if not H.ids <= N.ids:
-        raise ValueError("subgroup does not lie inside the intermediate group")
-    sub, to_new = N.as_group()
-    H2 = Subgroup(sub, frozenset(to_new[a] for a in H.ids))
-    return satisfies_partial_pi(sub, H2, reverse=reverse)
-
-
-def witness_series_through(G: FiniteGroup, H: Subgroup, N: Subgroup) -> PiWitness | None:
-    """A passing chief series with N as one of its terms, if one exists.
-
-    While the current term does not yet contain N, only steps inside N
-    are taken; maximal normal chains below N end at N, so any witness
-    found here passes through it.
-    """
-    if not H.ids <= N.ids:
-        raise ValueError("subgroup does not lie inside the target term")
-    if not is_normal(G, N):
-        raise ValueError("target term is not normal")
-    return _search(G, H, lambda K, M: N.ids <= K.ids or M.ids <= N.ids)[0]

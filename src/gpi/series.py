@@ -4,7 +4,7 @@ The minimal normal overgroups of a normal subgroup (its chief steps, found
 from the principal normal closures, one per conjugacy class) are memoised on
 the group handle; they are the successor moves of every series walk in the
 package, the walk over the whole lattice included.  The characteristic
-subgroups read off the lattice (the hypercentre, the p- and p'-cores, the
+subgroups read off the lattice (the hypercentre, the p-core, the
 terms of the upper p-series) are climbs along those chief steps (`climb`),
 with no quotient group formed.
 """
@@ -183,11 +183,6 @@ def _core_steps(p: int) -> dict:
 def p_core(G: FiniteGroup, p: int) -> Subgroup:
     """O_p(G): the largest normal p-subgroup, climbed through p-steps."""
     return climb(G, G.trivial_subgroup(), _core_steps(p)["p"])
-
-
-def p_prime_core(G: FiniteGroup, p: int) -> Subgroup:
-    """O_{p'}(G): the largest normal subgroup of order prime to p."""
-    return climb(G, G.trivial_subgroup(), _core_steps(p)["p'"])
 
 
 def fitting_subgroup(G: FiniteGroup) -> Subgroup:

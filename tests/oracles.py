@@ -178,7 +178,9 @@ def brute_core(G: FiniteGroup, pred) -> frozenset:
 
 
 def subgroup_of(G: FiniteGroup, ids) -> Subgroup:
-    return Subgroup(G, ids, check=True)
+    ids = frozenset(ids)
+    assert brute_span(G, ids) == ids, "id-set is not closed under the group product"
+    return Subgroup(G, ids)
 
 
 def brute_chief_chains(G: FiniteGroup, normals=None) -> list[list[frozenset]]:
@@ -204,6 +206,33 @@ def brute_chief_chains(G: FiniteGroup, normals=None) -> list[list[frozenset]]:
     return chains
 
 
+def partial_pi_within(H: Subgroup, N: Subgroup):
+    """The engine's verdict for H inside the intermediate group N, decided
+    on N re-rooted as a group of its own."""
+    from gpi.partialpi import satisfies_partial_pi
+
+    sub, to_new = N.as_group()
+    return satisfies_partial_pi(sub, Subgroup(sub, [to_new[a] for a in H.ids]))
+
+
+def witness_through(G: FiniteGroup, H: Subgroup, N: Subgroup, chains=None):
+    """A chief series of G with N as a term on which every factor passes
+    the engine's `factor_condition`, as a `PiWitness`, or None.  The series
+    are the brute chief chains of `brute_normal_lattice(G)`; a sweep over
+    one group passes them in as `chains`."""
+    from gpi.partialpi import PiWitness, factor_condition
+
+    if chains is None:
+        chains = brute_chief_chains(G, brute_normal_lattice(G))
+    for chain in chains:
+        if N.ids in chain:
+            terms = [Subgroup(G, ids) for ids in chain]
+            checks = [factor_condition(G, H, K, M) for K, M in zip(terms, terms[1:])]
+            if all(c.passed for c in checks):
+                return PiWitness(G, H, terms, checks)
+    return None
+
+
 def brute_quotient(G: FiniteGroup, n_ids) -> tuple[TableGroup, list[int]]:
     """G/N over coset representatives: cosets found by scanning G in id
     order, products taken through the representatives.  Also returns each
@@ -216,15 +245,12 @@ def brute_quotient(G: FiniteGroup, n_ids) -> tuple[TableGroup, list[int]]:
                 coset[G.mul(g, m)] = len(reps)
             reps.append(g)
 
-    def rep(g: int) -> int:
-        return reps[coset[g]]
-
     Q = TableGroup(
-        reps,
-        lambda a, b: rep(G.mul(a, b)),
-        lambda a: rep(G.inv(a)),
-        gens=[rep(g) for g in G.generator_ids],
-        label_fn=G.label,
+        len(reps),
+        lambda a, b: coset[G.mul(reps[a], reps[b])],
+        lambda a: coset[G.inv(reps[a])],
+        gens=[coset[g] for g in G.generator_ids],
+        label_fn=lambda a: G.label(reps[a]),
     )
     return Q, coset
 
@@ -307,16 +333,25 @@ def brute_hypercenter(G: FiniteGroup) -> frozenset:
     return ids
 
 
+def _rerooted(G: FiniteGroup, ids) -> TableGroup:
+    """The subgroup on `ids` as a group, its ids numbering `ids` in sorted
+    order; every element is a generator."""
+    dom = sorted(ids)
+    to = {x: i for i, x in enumerate(dom)}
+    return TableGroup(len(dom), lambda a, b: to[G.mul(dom[a], dom[b])],
+                      lambda a: to[G.inv(dom[a])])
+
+
 def brute_has_q8_section(G: FiniteGroup, ids) -> bool:
     """Some section H/K of the subgroup on `ids` is an order-8 quaternion
     group.  Every subgroup H of order divisible by 8 is re-rooted on its
     ids; each normal K of index 8 in it gives a quotient, which is Q8 when
     it is non-abelian with one involution."""
-    X = TableGroup(sorted(ids), G.mul, G.inv)
+    X = _rerooted(G, ids)
     for h_ids in brute_all_subgroups(X):
         if len(h_ids) % 8:
             continue
-        H = TableGroup(sorted(h_ids), X.mul, X.inv)
+        H = _rerooted(X, h_ids)
         for k_ids in brute_all_subgroups(H):
             if 8 * len(k_ids) != H.n or not brute_is_normal(H, k_ids):
                 continue

@@ -73,26 +73,45 @@ def m16():
 
 
 def cn_table(m):
-    return TableGroup(list(range(m)), lambda a, b: (a + b) % m, lambda a: (-a) % m, gens=[1])
+    return TableGroup(m, lambda a, b: (a + b) % m, lambda a: (-a) % m, gens=[1])
+
+
+# The dicyclic group of order 16 on pairs (k, e) standing for a^k b^e, the
+# pairs numbered with e major: the reference for the catalogue's Q16.
+Q16_PAIRS = sorted(((k, e) for e in (0, 1) for k in range(8)), key=lambda t: (t[1], t[0]))
+
+
+def q16_pair_mul(x, y):
+    k1, e1 = x
+    k2, e2 = y
+    if e1 == 0:
+        return ((k1 + k2) % 8, e2)
+    if e2 == 0:
+        return ((k1 - k2) % 8, 1)
+    return ((k1 - k2 + 4) % 8, 0)
+
+
+def q16_pair_inv(x):
+    k, e = x
+    return ((-k) % 8, 0) if e == 0 else ((k + 4) % 8, 1)
 
 
 def dicyclic16():
-    dom = sorted(((k, e) for e in (0, 1) for k in range(8)), key=lambda t: (t[1], t[0]))
+    pairs, idx = Q16_PAIRS, {x: i for i, x in enumerate(Q16_PAIRS)}
+    return TableGroup(16, lambda a, b: idx[q16_pair_mul(pairs[a], pairs[b])],
+                      lambda a: idx[q16_pair_inv(pairs[a])],
+                      gens=[idx[(1, 0)], idx[(0, 1)]], name="Q16")
 
-    def mul(x, y):
-        k1, e1 = x
-        k2, e2 = y
-        if e1 == 0:
-            return ((k1 + k2) % 8, e2)
-        if e2 == 0:
-            return ((k1 - k2) % 8, 1)
-        return ((k1 - k2 + 4) % 8, 0)
 
-    def inv(x):
-        k, e = x
-        return ((-k) % 8, 0) if e == 0 else ((k + 4) % 8, 1)
-
-    return TableGroup(dom, mul, inv, gens=[(1, 0), (0, 1)], name="Q16")
+def test_catalogue_q16_matches_the_pair_formula():
+    G = build_group("Q16").materialize()
+    idx = {x: i for i, x in enumerate(Q16_PAIRS)}
+    for a, x in enumerate(Q16_PAIRS):
+        assert G.inv(a) == idx[q16_pair_inv(x)]
+        assert G.label(a) == f"a{x[0]}" + ("b" if x[1] else "")
+        for b, y in enumerate(Q16_PAIRS):
+            assert G.mul(a, b) == idx[q16_pair_mul(x, y)]
+    assert G.generator_ids == [idx[(1, 0)], idx[(0, 1)]] == [1, 8]
 
 
 @pytest.mark.parametrize(
@@ -239,8 +258,6 @@ def test_subgroup_validation_and_identity():
     bad = Subgroup(G, [0, t, u])  # right size, not closed
     with pytest.raises(ValueError):
         bad.gens
-    with pytest.raises(ValueError):
-        Subgroup(G, [0, t, u], gens=[t, u], check=True)
     H = G.generated([t, u])
     assert H.order == 4 and H.sorted_ids[0] == 0
     assert set(H.gens) == {t, u}
@@ -299,11 +316,12 @@ def test_conjugacy_class_reps_cover():
 def test_table_group_validation():
     C6 = cn_table(6)
     assert C6.n == 6 and C6.element_order(1) == 6
-    with pytest.raises(ValueError):
-        TableGroup([1, 0, 2], lambda a, b: (a + b) % 3, lambda a: (-a) % 3)
-    dup = TableGroup([0, 1, 1], lambda a, b: (a + b) % 2, lambda a: (-a) % 2)
-    with pytest.raises(ValueError):
-        dup.materialize()
+    with pytest.raises(ValueError, match="not the identity"):
+        TableGroup(3, lambda a, b: (a + b + 1) % 3, lambda a: (1 - a) % 3)
+    for gens in ([3], [-1], ["1"]):
+        outside = TableGroup(3, lambda a, b: (a + b) % 3, lambda a: (-a) % 3, gens=gens)
+        with pytest.raises(ValueError, match="not an id"):
+            outside.materialize()
 
 
 def test_semidirect_c3_by_c2_is_symmetric():
@@ -371,7 +389,7 @@ def test_limits_are_enforced():
     with pytest.raises(LimitExceeded):
         PermGroup([cyc(5, [(0, 1)])], limits=Limits(max_degree=4))
     with pytest.raises(LimitExceeded):
-        TableGroup(list(range(6)), lambda a, b: (a + b) % 6, lambda a: (-a) % 6,
+        TableGroup(6, lambda a, b: (a + b) % 6, lambda a: (-a) % 6,
                    limits=Limits(max_elements=4))
     G = PermGroup([cyc(4, [(0, 1, 2, 3)]), cyc(4, [(0, 1)])], limits=Limits(max_elements=10))
     with pytest.raises(LimitExceeded):
@@ -437,7 +455,7 @@ def test_memo_applies_defaults_and_hands_out_copies():
     H = cyclic_subgroups_of_order(G, 2)[0]
     v = satisfies_partial_pi(G, H)
     assert satisfies_partial_pi(G, H) is v
-    assert satisfies_partial_pi(G, H, reverse=False) is v
+    assert sylow_subgroup(G, 2) is sylow_subgroup(G, 2, None)
     assert satisfies_partial_pi(G, Subgroup(G, H.ids)) is v
     normal_subgroups(G).clear()
     assert [N.order for N in normal_subgroups(G)] == [1, 4, 12, 24]
@@ -464,7 +482,7 @@ def _symmetric_table(k):
     n = len(perms)
     table = [idx[tuple(b[x] for x in a)] for a in perms for b in perms]
     inv = [table[a * n:(a + 1) * n].index(0) for a in range(n)]
-    return TableGroup(range(n), lambda a, b: table[a * n + b], inv.__getitem__)
+    return TableGroup(n, lambda a, b: table[a * n + b], inv.__getitem__)
 
 
 def _s3_ways():

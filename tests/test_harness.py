@@ -15,11 +15,12 @@ from gpi.cli import main
 from gpi.formations import f_hypercenter
 from gpi.groups import LimitExceeded, Subgroup, TableGroup
 from gpi.series import (
+    _core_steps,
+    climb,
     hypercenter,
     is_p_soluble,
     minimal_normal_overgroups,
     normal_subgroups,
-    p_prime_core,
 )
 from gpi.sylow import is_quaternion_free
 from gpi import verify as verify_mod
@@ -139,7 +140,7 @@ def test_t14_on_a_cyclic_sylow_beyond_order_512():
     # ceiling on P.  A table group keeps this fast: on a cyclic permutation
     # group of large degree, each principal normal closure costs |G| products
     # of that degree.
-    C = TableGroup(range(1024), lambda a, b: (a + b) % 1024, lambda a: -a % 1024,
+    C = TableGroup(1024, lambda a, b: (a + b) % 1024, lambda a: -a % 1024,
                    gens=[1], name="C1024")
     rep = verify_theorem("t14", C)
     assert [(d["p"], d["sylow"], d["hypothesis"], d["conclusion"])
@@ -231,7 +232,9 @@ def _doerk_hawkes_hypercenter(G, p):
 
 
 def _p_nilpotent(G, p):
-    return p_prime_core(G, p).order * p_part(G.n, p) == G.n
+    # O_{p'}(G), the climb through chief factors of order prime to p.
+    o_p_prime = climb(G, G.trivial_subgroup(), _core_steps(p)["p'"])
+    return o_p_prime.order * p_part(G.n, p) == G.n
 
 
 def _is_q8(P):

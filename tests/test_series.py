@@ -6,6 +6,8 @@ from gpi.groups import Subgroup
 from gpi.perm import Perm
 from gpi.series import (
     ChiefSeries,
+    _core_steps,
+    climb,
     fitting_subgroup,
     hypercenter,
     is_nilpotent,
@@ -19,7 +21,6 @@ from gpi.series import (
     one_chief_series,
     p_core,
     p_length,
-    p_prime_core,
     principal_normal_closures,
     socle,
     upper_p_series,
@@ -141,15 +142,20 @@ def test_p_flavoured_predicates():
     assert is_p_supersoluble(big, 3)
 
 
+def o_p_prime(G, p):
+    """O_{p'}(G): the climb through chief factors of order prime to p."""
+    return climb(G, G.trivial_subgroup(), _core_steps(p)["p'"])
+
+
 def test_cores():
     s4 = build_group("S4")
     assert p_core(s4, 2).order == 4
     assert p_core(s4, 3).is_trivial
-    assert p_prime_core(s4, 2).is_trivial
-    assert p_prime_core(s4, 3).order == 4
+    assert o_p_prime(s4, 2).is_trivial
+    assert o_p_prime(s4, 3).order == 4
     sl = build_group("SL(2,3)")
     assert p_core(sl, 2).order == 8
-    assert p_prime_core(sl, 2).is_trivial
+    assert o_p_prime(sl, 2).is_trivial
     d8 = build_group("D8")
     assert p_core(d8, 2).is_full
     with pytest.raises(ValueError):
@@ -186,7 +192,7 @@ def test_p_nilpotency():
     # G is p-nilpotent exactly when O_{p'}(G) has index |G|_p.
     def complement_index(name, p):
         G = build_group(name)
-        return G.n // p_prime_core(G, p).order
+        return G.n // o_p_prime(G, p).order
 
     assert complement_index("S3", 2) == 2  # O_{2'} = C3
     assert complement_index("S3", 3) == 6  # not 3-nilpotent
@@ -269,7 +275,7 @@ def test_climbs_match_the_brute_lattice(name):
         assert hypercenter(G).ids == brute_hypercenter(G)
     for p in sorted({*prime_set(G.n), 7}):
         assert p_core(G, p).ids == _lattice_climb(lattice, trivial, p, "p"), p
-        assert p_prime_core(G, p).ids == _lattice_climb(lattice, trivial, p, "p'"), p
+        assert o_p_prime(G, p).ids == _lattice_climb(lattice, trivial, p, "p'"), p
         want = _lattice_upper_p_series(G, lattice, p)
         if want is None:
             with pytest.raises(ValueError, match="stalls"):

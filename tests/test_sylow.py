@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import signal
 import time
 
 import pytest
 
-from gpi.arith import p_part
+from gpi.arith import factorize, is_prime, p_part
 from gpi.catalog import build_group, from_description, group_names
 from gpi.groups import LimitExceeded, Subgroup, closure_ids
 from gpi.structure import derived_subgroup, frattini_subgroup_of_p_subgroup, p_residual
@@ -293,3 +294,27 @@ def test_quaternion_free_on_large_two_groups():
     start = time.perf_counter()
     assert is_quaternion_free(D64) is True
     assert time.perf_counter() - start < 1.0
+
+
+def test_huge_primes_are_decided_at_once():
+    # Primality is Miller-Rabin, not trial division: a prime near 10^18
+    # is decided under a one-second alarm, as everything below 10^4 is,
+    # in agreement with factorisation.
+    def expire(signum, frame):
+        raise TimeoutError("deciding primality took over a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        assert p_part(24, 10**18 + 3) == 1
+        assert sylow_subgroup(build_group("S4"), 10**18 + 3).is_trivial
+        assert [n for n in range(10**4) if is_prime(n)] == [
+            n for n in range(2, 10**4) if factorize(n) == {n: 1}]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # The least composite that passes the bases 2..37 fails base 41; at
+    # the least one that passes 2..41 the test refuses to decide.
+    assert not is_prime(318_665_857_834_031_151_167_461)
+    with pytest.raises(ValueError, match="decided only below"):
+        p_part(24, 3_317_044_064_679_887_385_961_981)
