@@ -42,7 +42,6 @@ from .series import (
     is_p_supersoluble,
     is_soluble,
     is_supersoluble,
-    minimal_normal_subgroups,
     normal_subgroups,
     one_chief_series,
     p_length,
@@ -51,9 +50,7 @@ from .series import (
 from .structure import (
     centralizer,
     centre,
-    derived_subgroup,
     frattini_subgroup_of_p_subgroup,
-    normalizer,
     p_residual,
 )
 from .sylow import (
@@ -73,7 +70,6 @@ __all__ = [
     "ChiefSeries",
     "corpus_names",
     "cyclic_subgroups_of_order",
-    "derived_subgroup",
     "f_hypercenter",
     "factor_condition",
     "FactorCheck",
@@ -93,9 +89,7 @@ __all__ = [
     "LimitExceeded",
     "Limits",
     "maximal_subgroups_of_p_group",
-    "minimal_normal_subgroups",
     "normal_subgroups",
-    "normalizer",
     "one_chief_series",
     "p_length",
     "p_part",

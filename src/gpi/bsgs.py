@@ -1,10 +1,12 @@
 """Deterministic Schreier-Sims order computation for permutation groups.
 
 Works on raw image tuples so group handles can ask for an order before any
-element enumeration happens.  The classic recursive scheme is plenty at desk
-scale: orbit plus transversal at each level, Schreier generators for the
-stabilizer, recurse.  Schreier generators that turn out to be the identity
-are discarded before recursing, which keeps the generator sets small.
+element enumeration happens.  The classic scheme is plenty at desk scale:
+orbit plus transversal at each level, Schreier generators for the
+stabilizer, descend; the order is the product of the orbit lengths, and no
+level is kept once its stabilizer generators are known.  Schreier
+generators that turn out to be the identity are discarded before
+descending, which keeps the generator sets small.
 """
 
 from __future__ import annotations
@@ -39,17 +41,18 @@ def _orbit_transversal(point: int, gens: list[tuple]) -> dict[int, tuple]:
     return transversal
 
 
-def stabilizer_chain(gens) -> list[dict]:
-    """Chain of (base point, transversal) pairs down to the trivial group."""
-    gens = [tuple(g) for g in gens]
-    gens = [g for g in gens if _first_moved(g) is not None]
-    chain = []
+def group_order(gens) -> int:
+    """Order of the permutation group generated by image tuples: the product
+    of the basic orbit lengths down a stabilizer chain."""
+    gens = [g for g in map(tuple, gens) if _first_moved(g) is not None]
+    out, levels = 1, 0
     while gens:
-        if len(chain) >= _MAX_LEVELS:
+        if levels == _MAX_LEVELS:
             raise RuntimeError("stabilizer chain implausibly deep; generators corrupt?")
-        point = min(m for g in gens if (m := _first_moved(g)) is not None)
+        levels += 1
+        point = min(_first_moved(g) for g in gens)
         transversal = _orbit_transversal(point, gens)
-        chain.append({"point": point, "transversal": transversal, "gens": gens})
+        out *= len(transversal)
         # Schreier generators for the point stabilizer.  u_b * g lands in the
         # coset of u_{b^g}; the quotient is a stabilizer element, trivial
         # exactly when the two words agree.
@@ -65,16 +68,4 @@ def stabilizer_chain(gens) -> list[dict]:
                     s = tuple(t_inv[x] for x in w)
                     sub.add(s)
         gens = sorted(sub)
-    return chain
-
-
-def order_from_chain(chain: list[dict]) -> int:
-    out = 1
-    for level in chain:
-        out *= len(level["transversal"])
     return out
-
-
-def group_order(gens) -> int:
-    """Order of the permutation group generated by image tuples."""
-    return order_from_chain(stabilizer_chain(gens))

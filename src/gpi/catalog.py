@@ -1,17 +1,15 @@
 """Named builders for the benchmark groups.
 
 Permutation entries are written as cycle tuples; the table-backed entries
-(the dicyclic group of order 16, the big semidirect example) carry explicit
-product formulas on ids.  Built groups are cached per name, since every handle
-memoises its own lattice work; pass fresh=True to rebuild from scratch.
+carry formulas on ids (Q16 a product rule, 5^4:3 an addition table built
+digit by digit in base 5).  Built groups are cached per name, since every
+handle memoises its own lattice work; pass fresh=True to rebuild from scratch.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass, field
-from typing import Callable
 
 from .groups import (
     DEFAULT_LIMITS,
@@ -24,13 +22,6 @@ from .groups import (
 from .perm import Perm
 
 cyc = Perm.from_cycles
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    tags: frozenset
-    build: Callable[[], FiniteGroup] = field(compare=False)
 
 
 def _perm(name, degree, gen_cycles):
@@ -100,17 +91,17 @@ def _big_example():
     The normal part is two planes swapped into each other by the action, so
     its minimal normal subgroups come in a large family; the whole group has
     elements of orders 1, 3 and 5 only.
+
+    Ids number the vectors of F5^4 in base 5, so the addition table is built
+    digit by digit from Z5's: the pair (t, s) in F5^(k-1) x Z5 has id 5t + s.
     """
     base = list(itertools.product(range(5), repeat=4))
     idx = {v: i for i, v in enumerate(base)}
-    table = array("H", bytes(2 * 625 * 625))
-    for i, v in enumerate(base):
-        row = i * 625
-        v0, v1, v2, v3 = v
-        for j, w in enumerate(base):
-            table[row + j] = idx[
-                ((v0 + w[0]) % 5, (v1 + w[1]) % 5, (v2 + w[2]) % 5, (v3 + w[3]) % 5)
-            ]
+    z5 = [[(a + b) % 5 for b in range(5)] for a in range(5)]
+    sums = z5
+    for _ in range(2):  # F5^2, then F5^3
+        sums = [[5 * x + y for x in row for y in zrow] for row in sums for zrow in z5]
+    table = array("H", (5 * x + y for row in sums for zrow in z5 for x in row for y in zrow))
     neg = [idx[(-v0 % 5, -v1 % 5, -v2 % 5, -v3 % 5)] for v0, v1, v2, v3 in base]
     gens = [idx[(1, 0, 0, 0)], idx[(0, 1, 0, 0)], idx[(0, 0, 1, 0)], idx[(0, 0, 0, 1)]]
     labels = [str(v) for v in base]
@@ -122,48 +113,38 @@ def _big_example():
     return semidirect_product(N, C3, action, name="5^4:3")
 
 
-def _entries() -> list[CatalogEntry]:
-    corpus = {"corpus"}
-    e = [
-        ("S3", corpus, _symmetric, (3,)),
-        ("S4", corpus, _symmetric, (4,)),
-        ("S5", corpus, _symmetric, (5,)),
-        ("S6", corpus, _symmetric, (6,)),
-        ("A4", corpus, _perm, ("A4", 4, [[(0, 1, 2)], [(0, 1), (2, 3)]])),
-        ("A5", corpus, _perm, ("A5", 5, [[(0, 1, 2, 3, 4)], [(0, 1, 2)]])),
-        ("C2", set(), _cyclic, ("C2", 2)),
-        ("C3", set(), _cyclic, ("C3", 3)),
-        ("C4", set(), _cyclic, ("C4", 4)),
-        ("C5", set(), _cyclic, ("C5", 5)),
-        ("C8", set(), _cyclic, ("C8", 8)),
-        ("C9", set(), _cyclic, ("C9", 9)),
-        ("C12", corpus, _cyclic, ("C12", 12)),
-        ("C2^2", set(), _elementary, ("C2^2", 2, 2)),
-        ("C2^3", set(), _elementary, ("C2^3", 2, 3)),
-        ("C2^4", corpus, _elementary, ("C2^4", 2, 4)),
-        ("C3^2", corpus, _elementary, ("C3^2", 3, 2)),
-        ("C5^2", set(), _elementary, ("C5^2", 5, 2)),
-        ("C4xC2", set(), _perm, ("C4xC2", 6, [[(0, 1, 2, 3)], [(4, 5)]])),
-        ("D8", corpus, _perm, ("D8", 4, [[(0, 1, 2, 3)], [(1, 3)]])),
-        ("D16", corpus, _perm, ("D16", 8, [[tuple(range(8))], [(1, 7), (2, 6), (3, 5)]])),
-        ("Q8", corpus,
-         _perm, ("Q8", 8, [[(0, 1, 2, 3), (4, 7, 5, 6)], [(0, 4, 2, 5), (1, 6, 3, 7)]])),
-        ("Q16", corpus, _dicyclic16, ()),
-        ("SD16", corpus, _perm, ("SD16", 8, [[tuple(range(8))], [(1, 3), (2, 6), (5, 7)]])),
-        ("M16", corpus, _perm, ("M16", 8, [[tuple(range(8))], [(1, 5), (3, 7)]])),
-        ("C2xD8", set(), _perm, ("C2xD8", 6, [[(0, 1)], [(2, 3, 4, 5)], [(3, 5)]])),
-        ("SL(2,3)", corpus, _sl23, ()),
-        ("GL(2,3)", corpus, _gl23, ()),
-        ("SL(2,5)", corpus, _sl25, ()),
-        ("5^4:3", corpus, _big_example, ()),
-    ]
-    out = []
-    for name, tags, fn, args in e:
-        out.append(CatalogEntry(name, frozenset(tags), (lambda f=fn, a=args: f(*a))))
-    return out
-
-
-_ENTRIES = {entry.name: entry for entry in _entries()}
+_ENTRIES = {  # name -> (in the corpus, builder, builder arguments)
+    "S3": (True, _symmetric, (3,)),
+    "S4": (True, _symmetric, (4,)),
+    "S5": (True, _symmetric, (5,)),
+    "S6": (True, _symmetric, (6,)),
+    "A4": (True, _perm, ("A4", 4, [[(0, 1, 2)], [(0, 1), (2, 3)]])),
+    "A5": (True, _perm, ("A5", 5, [[(0, 1, 2, 3, 4)], [(0, 1, 2)]])),
+    "C2": (False, _cyclic, ("C2", 2)),
+    "C3": (False, _cyclic, ("C3", 3)),
+    "C4": (False, _cyclic, ("C4", 4)),
+    "C5": (False, _cyclic, ("C5", 5)),
+    "C8": (False, _cyclic, ("C8", 8)),
+    "C9": (False, _cyclic, ("C9", 9)),
+    "C12": (True, _cyclic, ("C12", 12)),
+    "C2^2": (False, _elementary, ("C2^2", 2, 2)),
+    "C2^3": (False, _elementary, ("C2^3", 2, 3)),
+    "C2^4": (True, _elementary, ("C2^4", 2, 4)),
+    "C3^2": (True, _elementary, ("C3^2", 3, 2)),
+    "C5^2": (False, _elementary, ("C5^2", 5, 2)),
+    "C4xC2": (False, _perm, ("C4xC2", 6, [[(0, 1, 2, 3)], [(4, 5)]])),
+    "D8": (True, _perm, ("D8", 4, [[(0, 1, 2, 3)], [(1, 3)]])),
+    "D16": (True, _perm, ("D16", 8, [[tuple(range(8))], [(1, 7), (2, 6), (3, 5)]])),
+    "Q8": (True, _perm, ("Q8", 8, [[(0, 1, 2, 3), (4, 7, 5, 6)], [(0, 4, 2, 5), (1, 6, 3, 7)]])),
+    "Q16": (True, _dicyclic16, ()),
+    "SD16": (True, _perm, ("SD16", 8, [[tuple(range(8))], [(1, 3), (2, 6), (5, 7)]])),
+    "M16": (True, _perm, ("M16", 8, [[tuple(range(8))], [(1, 5), (3, 7)]])),
+    "C2xD8": (False, _perm, ("C2xD8", 6, [[(0, 1)], [(2, 3, 4, 5)], [(3, 5)]])),
+    "SL(2,3)": (True, _sl23, ()),
+    "GL(2,3)": (True, _gl23, ()),
+    "SL(2,5)": (True, _sl25, ()),
+    "5^4:3": (True, _big_example, ()),
+}
 _BUILT: dict[str, FiniteGroup] = {}
 
 
@@ -172,18 +153,19 @@ def group_names() -> list[str]:
 
 
 def corpus_names() -> list[str]:
-    return [n for n, e in _ENTRIES.items() if "corpus" in e.tags]
+    return [n for n, (in_corpus, _, _) in _ENTRIES.items() if in_corpus]
 
 
 def build_group(name: str, fresh: bool = False) -> FiniteGroup:
     entry = _ENTRIES.get(name)
     if entry is None:
         raise KeyError(f"unknown group {name!r}; known: {', '.join(_ENTRIES)}")
+    _, build, args = entry
     if fresh:
-        return entry.build()
+        return build(*args)
     got = _BUILT.get(name)
     if got is None:
-        got = _BUILT[name] = entry.build()
+        got = _BUILT[name] = build(*args)
     return got
 
 
@@ -203,7 +185,7 @@ def from_description(desc) -> FiniteGroup:
     {"type": "perm", "degree": int, "generators": [cycle lists]};
     {"type": "semidirect", "normal": desc, "quotient": desc, "action":
     [cycle lists per quotient generator, one image per normal generator]}.
-    A missing key or a non-string "name" is reported with its path (`normal.name`).
+    Every error names the path of the key it is about (`normal.degree`).
     """
     return _from_description(desc, "")
 
@@ -213,7 +195,7 @@ def _from_description(desc, where: str) -> FiniteGroup:
     if isinstance(desc, str):
         return build_group(desc)
     if not isinstance(desc, dict):
-        raise ValueError("group description must be a name or an object")
+        raise ValueError(f"{where.rstrip('.') or 'group description'} must be a name or an object")
 
     def get(key):
         if key not in desc:
@@ -235,7 +217,7 @@ def _from_description(desc, where: str) -> FiniteGroup:
     if kind == "perm":
         degree = get("degree")
         if type(degree) is not int or degree < 1:
-            raise ValueError(f"degree must be a positive integer, got {degree!r}")
+            raise ValueError(f"{where}degree must be a positive integer, got {degree!r}")
         if degree > DEFAULT_LIMITS.max_degree:
             # Checked here because every generator allocates `degree` images.
             raise LimitExceeded(
@@ -247,11 +229,11 @@ def _from_description(desc, where: str) -> FiniteGroup:
         N = _from_description(get("normal"), where + "normal.")
         Q = _from_description(get("quotient"), where + "quotient.")
         if not isinstance(N, PermGroup):
-            raise ValueError("semidirect descriptions act on a permutation-backed normal part")
+            raise ValueError(f"{where}normal must be permutation-backed: action rows are cycles")
         action = get("action")
         if not isinstance(action, list):
-            raise ValueError("action must be a list of rows, one per quotient generator")
+            raise ValueError(f"{where}action must be a list of rows, one per quotient generator")
         action = [[cyc(N.degree, img) for img in _cycle_lists(row, where + "action rows")]
                   for row in action]
         return semidirect_product(N, Q, action, name=name(f"{N.name}:{Q.name}"))
-    raise ValueError(f"unknown group description type {kind!r}")
+    raise ValueError(f"{where}type: unknown group description type {kind!r}")

@@ -259,32 +259,6 @@ class FiniteGroup:
             self.mul(a, b) == self.mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
         )
 
-    @memo
-    def parent_tree(self) -> tuple[list[int], dict[int, tuple[int, int]]]:
-        """BFS discovery order and parent links (parent id, generator index).
-
-        Used to extend generator-defined homomorphisms over the whole group.
-        """
-        gens = self.generator_ids
-        parents: dict[int, tuple[int, int]] = {}
-        seen = {0}
-        order_out = [0]
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for gi, g in enumerate(gens):
-                    b = self.mul(a, g)
-                    if b not in seen:
-                        seen.add(b)
-                        parents[b] = (a, gi)
-                        order_out.append(b)
-                        nxt.append(b)
-            frontier = nxt
-        if len(seen) != self.n:
-            raise ValueError("stored generators do not generate the group")
-        return order_out, parents
-
     # -- subgroup constructors ------------------------------------------------
 
     def trivial_subgroup(self) -> "Subgroup":
@@ -331,8 +305,6 @@ def product_ids(G: FiniteGroup, left, right: frozenset) -> frozenset:
     per group and distinct right) and no products.  Every caller in the
     package passes a normal subgroup as right.
     """
-    if len(right) == 1:
-        return frozenset(left)
     labels = G.left_cosets(right)[0]
     want = set(map(labels.__getitem__, left))
     return frozenset(compress(range(G.n), map(want.__contains__, labels)))
@@ -531,9 +503,6 @@ class PermGroup(FiniteGroup):
     def inv(self, a: int) -> int:
         return self._inv_arr[a]
 
-    def act(self, a: int, point: int) -> int:
-        return self._els[a][point]
-
     def perm(self, a: int) -> Perm:
         self.materialize()
         return Perm(self._els[a])
@@ -601,20 +570,33 @@ class TableGroup(FiniteGroup):
 
 
 def hom_from_generators(G: FiniteGroup, gen_images: list[int], target_mul, target_identity=0):
-    """Extend generator images to a map on all of G along the BFS parent tree.
+    """Extend generator images to a map on all of G along a BFS from 1
+    (first in, first out, generators in order): each element's image is its
+    parent's image times the image of the generator that reached it.
 
     Returns the full image list; the caller decides what to validate.  The
     extension is well defined only if the assignment really is a
     homomorphism, so run `hom_defect` afterwards.
     """
-    order_out, parents = G.parent_tree()
-    if len(gen_images) != len(G.generator_ids):
+    gens = G.generator_ids
+    if len(gen_images) != len(gens):
         raise ValueError("one image per generator, in order, is required")
     phi: list = [None] * G.n
     phi[0] = target_identity
-    for e in order_out[1:]:
-        p, gi = parents[e]
-        phi[e] = target_mul(phi[p], gen_images[gi])
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g, img in zip(gens, gen_images):
+                b = G.mul(a, g)
+                if b not in seen:
+                    seen.add(b)
+                    phi[b] = target_mul(phi[a], img)
+                    nxt.append(b)
+        frontier = nxt
+    if len(seen) != G.n:
+        raise ValueError("stored generators do not generate the group")
     return phi
 
 

@@ -77,7 +77,7 @@ class Perm:
     def is_identity(self) -> bool:
         return all(i == v for i, v in enumerate(self.images))
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    def cycles(self) -> list[tuple[int, ...]]:
         out = []
         seen = [False] * len(self.images)
         for start in range(len(self.images)):
@@ -90,7 +90,7 @@ class Perm:
                 cyc.append(nxt)
                 seen[nxt] = True
                 nxt = self.images[nxt]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 

@@ -1,4 +1,4 @@
-"""Pointwise structural operators: normalizers, centralizers, closures, residuals.
+"""Pointwise structural operators: normalizer indices, centralizers, closures, residuals.
 
 Everything lattice-shaped (normal subgroup enumeration, chief series, cores,
 socle) lives in `series`; this module stays at the level of single subgroups
@@ -11,14 +11,8 @@ from .arith import factorize
 from .groups import FiniteGroup, Subgroup, closure_ids
 
 
-def normalizer(G: FiniteGroup, sub: Subgroup) -> Subgroup:
-    """N_G(H) by a full element scan; fine at desk scale, not for hot loops."""
-    ids, gens = sub.ids, sub.gens
-    return Subgroup(G, (g for g in range(G.n) if all(G.conj(m, g) in ids for m in gens)))
-
-
-def normalizer_index(G: FiniteGroup, ids, *, modulus: frozenset | None = None) -> int:
-    """|G : N_G(H)| as the size of the conjugation orbit of H's id-set.
+def normalizer_index(G: FiniteGroup, ids: frozenset, *, modulus: frozenset | None = None) -> int:
+    """|G : N_G(H)| as the size of the conjugation orbit of H's id-set `ids`.
 
     With `modulus` the id-set of a normal subgroup K <= H, `ids` are instead
     the numbers of the K-cosets that make up H (as `G.left_cosets(modulus)`
@@ -31,15 +25,12 @@ def normalizer_index(G: FiniteGroup, ids, *, modulus: frozenset | None = None) -
     and each orbit point costs one lookup per element (or coset) of H in
     each table.
     """
-    if isinstance(ids, Subgroup):
-        ids = ids.ids
-    start = ids if isinstance(ids, frozenset) else frozenset(ids)
     if modulus is None:
         tables = G.conjugation_tables()
     else:
         tables = G.coset_conjugation_tables(modulus)
-    seen = {start}
-    frontier = [start]
+    seen = {ids}
+    frontier = [ids]
     while frontier:
         nxt = []
         for S in frontier:
@@ -86,12 +77,6 @@ def normal_closure(G: FiniteGroup, seed_ids, by=None) -> Subgroup:
             H = closure_ids(G, hgens)
             todo.extend(G.conj(x, g) for g in gens)
     return Subgroup(G, H, gens=hgens)
-
-
-def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    gens = G.reduced_generator_ids()
-    comms = {G.commutator(a, b) for a in gens for b in gens}
-    return normal_closure(G, comms)
 
 
 def p_residual(G: FiniteGroup, p: int) -> Subgroup:

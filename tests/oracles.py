@@ -142,6 +142,16 @@ def brute_span(G: FiniteGroup, seeds) -> frozenset:
     return span
 
 
+def brute_derived(G: FiniteGroup) -> frozenset:
+    """G' as the span of the commutators [a, g], a in G and g a generator.
+
+    That span L is normal, since [a, g]^x = [ax, g][x, g]^-1, and every
+    generator is central in G/L, so G/L is abelian and L = G'.  It costs
+    |G| commutators per generator instead of |G|^2.
+    """
+    return brute_span(G, (G.commutator(a, g) for a in range(G.n) for g in G.generator_ids))
+
+
 def brute_normal_lattice(G: FiniteGroup) -> set[frozenset]:
     """Normal subgroups as joins of single-class closures.
 
@@ -175,12 +185,6 @@ def brute_core(G: FiniteGroup, pred) -> frozenset:
         if pred(len(H)) and len(H) > len(best):
             best = H
     return best
-
-
-def subgroup_of(G: FiniteGroup, ids) -> Subgroup:
-    ids = frozenset(ids)
-    assert brute_span(G, ids) == ids, "id-set is not closed under the group product"
-    return Subgroup(G, ids)
 
 
 def brute_chief_chains(G: FiniteGroup, normals=None) -> list[list[frozenset]]:

@@ -252,6 +252,27 @@ def test_description_missing_keys_name_their_path(capsys):
         assert f"has no key {path}" in err, (desc, err)
 
 
+_PERM3 = {"type": "perm", "degree": 3, "generators": [[[0, 1, 2]]]}
+
+
+@pytest.mark.parametrize("desc,message", [
+    ({"type": "semidirect", "normal": {"type": "perm", "degree": 0, "generators": []},
+      "quotient": "C2", "action": []}, "normal.degree must be a positive integer"),
+    ({"type": "semidirect", "normal": "Q16", "quotient": "C2", "action": []},
+     "normal must be permutation-backed"),
+    ({"type": "semidirect", "normal": _PERM3, "quotient": {"type": "wedge"}, "action": []},
+     "quotient.type: unknown group description type 'wedge'"),
+    ({"type": "semidirect", "normal": _PERM3, "quotient": "C3", "action": {"0": []}},
+     "action must be a list of rows"),
+    ({"type": "semidirect", "normal": _PERM3, "quotient": [1, 2], "action": []},
+     "quotient must be a name or an object"),
+], ids=["normal.degree", "normal", "quotient.type", "action", "quotient"])
+def test_description_errors_name_their_path(capsys, desc, message):
+    code, out, err = run(capsys, "info", json.dumps(desc))
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err, err
+
+
 def test_description_catalog_name_must_be_a_string(capsys):
     perm = {"type": "perm", "degree": 3, "generators": [[[0, 1, 2]]]}
     cases = [
@@ -419,6 +440,15 @@ for layer, homes in tracer.LAYERS.items():
             missing.append(f"{layer}: {home}.{path}")
 print(json.dumps({"targets": targets, "missing": missing}))
 """
+
+
+def test_public_names_resolve_once():
+    # A cut that forgets its export would leave a name that fails on use;
+    # a star import raises on any name of __all__ the package lacks.
+    exec("from gpi import *", {})
+    assert len(set(gpi.__all__)) == len(gpi.__all__) == 47
+    for gone in ("normalizer", "derived_subgroup", "minimal_normal_subgroups"):
+        assert gone not in gpi.__all__ and not hasattr(gpi, gone)
 
 
 def test_tracer_layers_resolve_on_a_fresh_import():

@@ -114,6 +114,42 @@ def test_catalogue_q16_matches_the_pair_formula():
     assert G.generator_ids == [idx[(1, 0)], idx[(0, 1)]] == [1, 8]
 
 
+# F5^4 on 4-tuples of digits, numbered in `itertools.product` order, with
+# the sum looked up through a dict: the reference for the table behind the
+# catalogue's 5^4:3.
+F54_VECTORS = list(itertools.product(range(5), repeat=4))
+F54_IDS = {v: i for i, v in enumerate(F54_VECTORS)}
+
+
+def f54_add(a, b):
+    v, w = F54_VECTORS[a], F54_VECTORS[b]
+    return F54_IDS[tuple((x + y) % 5 for x, y in zip(v, w))]
+
+
+def f54_neg(a):
+    return F54_IDS[tuple(-x % 5 for x in F54_VECTORS[a])]
+
+
+def test_catalogue_5_4_3_matches_the_vector_formula():
+    G = build_group("5^4:3").materialize()
+    # The normal part has the ids 3a, the pairs (a, identity) of 5^4 x| C3.
+    for a in range(625):
+        row = [G.mul(3 * a, 3 * b) for b in range(625)]
+        assert row == [3 * f54_add(a, b) for b in range(625)], a
+    idx = F54_IDS
+    units = [idx[(1, 0, 0, 0)], idx[(0, 1, 0, 0)], idx[(0, 0, 1, 0)], idx[(0, 0, 0, 1)]]
+    N = TableGroup(625, f54_add, f54_neg, gens=units, label_fn=lambda a: str(F54_VECTORS[a]))
+    C3 = TableGroup(3, lambda a, b: (a + b) % 3, lambda a: -a % 3, gens=[1],
+                    label_fn=("e", "t", "t2").__getitem__)
+    action = [[idx[(0, 1, 0, 0)], idx[(4, 4, 0, 0)], idx[(0, 0, 0, 1)], idx[(0, 0, 4, 4)]]]
+    ref = semidirect_product(N, C3, action)
+    assert G.generator_ids == ref.generator_ids == [375, 75, 15, 3, 1]
+    for x in range(G.n):
+        assert G.inv(x) == ref.inv(x), x
+        assert G.label(x) == ref.label(x), x
+        assert all(G.mul(x, g) == ref.mul(x, g) for g in ref.generator_ids), x
+
+
 @pytest.mark.parametrize(
     "build,expect",
     [
@@ -144,7 +180,7 @@ def test_mul_inv_match_permutation_arithmetic():
     assert G.mul(0, 5) == 5 and G.inv(0) == 0
     p = G.perm(7)
     assert G.id_of_perm(p) == 7
-    assert G.act(7, 0) == p(0)
+    assert G.perm(7)(0) == p(0)
     with pytest.raises(ValueError):
         G.id_of_perm(Perm.identity(5))
 

@@ -8,15 +8,16 @@ import random
 
 from gpi.arith import is_pi_number, p_part, prime_set
 from gpi.catalog import build_group
-from gpi.groups import quotient
+from gpi.groups import Subgroup, quotient
 from gpi.partialpi import satisfies_partial_pi
 from gpi.series import normal_subgroups
-from gpi.structure import element_power, normalizer
+from gpi.structure import element_power
 from gpi.sylow import maximal_subgroups_of_p_group, sylow_subgroup
 
 from oracles import (
     brute_chief_chains,
     brute_normal_lattice,
+    brute_normalizer,
     partial_pi_within,
     witness_through,
 )
@@ -100,7 +101,8 @@ def test_intermediate_subgroup_lemma():
                 if not satisfies_partial_pi(G, H).satisfied:
                     continue
                 overs = {G.full_subgroup().ids: G.full_subgroup()}
-                overs[normalizer(G, H).ids] = normalizer(G, H)
+                NH = brute_normalizer(G, H.ids)
+                overs[NH] = Subgroup(G, NH)
                 for N in normal_subgroups(G):
                     if H.ids <= N.ids:
                         overs.setdefault(N.ids, N)

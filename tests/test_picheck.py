@@ -16,7 +16,7 @@ from gpi.partialpi import (
     factor_condition,
     satisfies_partial_pi,
 )
-from gpi.series import minimal_normal_subgroups
+from gpi.series import minimal_normal_overgroups
 from gpi.structure import centre, p_residual
 from gpi.sylow import (
     all_subgroups,
@@ -88,7 +88,7 @@ def test_factor_condition_matches_id_level_reference():
     # order-125 meet above it scans all of G once per element.
     G = build_group("5^4:3")
     P = sylow_subgroup(G, 5)
-    K0 = minimal_normal_subgroups(G)[0].ids
+    K0 = minimal_normal_overgroups(G, G.trivial_subgroup())[0].ids
     cases.append((G, cyclic_subgroups_of_order(P, 5) + two_minimal_subgroups(P, 5)
                   + [P, sylow_subgroup(G, 3)], lambda K, M: len(K) != 25 or K == K0))
     for G, population, keep in cases:
@@ -186,7 +186,7 @@ def test_big_group_sample_verdicts():
     P = sylow_subgroup(G, 5)
     planes = two_minimal_subgroups(P, 5)
     assert len(planes) == 806
-    normal_planes = {N.ids for N in minimal_normal_subgroups(G)}
+    normal_planes = {N.ids for N in minimal_normal_overgroups(G, G.trivial_subgroup())}
     wit = satisfies_partial_pi(G, next(H for H in planes if H.ids in normal_planes))
     assert wit.satisfied and wit.verify()
     wit = satisfies_partial_pi(G, next(H for H in planes if H.ids not in normal_planes))
@@ -255,7 +255,7 @@ def test_witness_through_a_chosen_term():
     assert any(t.ids == a4.ids for t in wit.terms)
 
     G = build_group("5^4:3")
-    K = minimal_normal_subgroups(G)[0]
+    K = minimal_normal_overgroups(G, G.trivial_subgroup())[0]
     P = sylow_subgroup(G, 5)
     wit = witness_through(G, K, P)
     assert wit is not None and wit.verify()
