@@ -280,20 +280,44 @@ class FiniteGroup:
 # -- id-set algebra -----------------------------------------------------------
 
 
-def closure_ids(G: FiniteGroup, seed_ids) -> frozenset:
-    """Ids of the subgroup generated by the seeds (BFS over right products)."""
+def closure_ids(G: FiniteGroup, seed_ids, *, prior: frozenset | None = None) -> frozenset:
+    """Ids of the subgroup generated by the seeds, grown by right cosets.
+
+    Seeds are adjoined in order (Dimino's algorithm).  When a seed lies
+    outside the subgroup H generated by those before it, the new subgroup
+    is a union of right cosets H*r.  Starting from r = 1, each
+    representative r is multiplied by every seed so far; a product x
+    outside the union adds its whole coset H*x, at |H| products, and
+    becomes a representative.  The union holds an element exactly when it
+    holds that element's coset, so once every representative has been
+    tried it is closed under the seeds.  That is one product per new
+    element plus one per representative and seed, where a breadth-first
+    walk takes one per element and seed.
+
+    `prior` is the closed id-set of all seeds but the last, when the
+    caller has it; only the last seed is then adjoined.
+    """
     gens = [s for s in dict.fromkeys(seed_ids) if s != 0]
-    els = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = G.mul(a, g)
-                if b not in els:
-                    els.add(b)
-                    nxt.append(b)
-        frontier = nxt
+    if prior is None:
+        els, start = [0], 0
+    else:
+        els, start = list(prior), max(len(gens) - 1, 0)
+    have = set(els)
+    mul = G.mul
+    for k in range(start, len(gens)):
+        if gens[k] in have:
+            continue
+        H = tuple(els)
+        now = gens[: k + 1]
+        reps = [0]
+        for r in reps:  # grows while it is walked
+            for g in now:
+                x = mul(r, g)
+                if x not in have:
+                    reps.append(x)
+                    coset = [mul(h, x) for h in H]
+                    have.update(coset)
+                    els += coset
     return frozenset(els)
 
 
@@ -353,7 +377,7 @@ class Subgroup:
             for e in sorted(self.ids):
                 if e not in span:
                     gens.append(e)
-                    span = closure_ids(self.group, gens)
+                    span = closure_ids(self.group, gens, prior=span)
                     if span == self.ids:
                         break
             if span != self.ids:

@@ -64,8 +64,8 @@ def normal_closure(G: FiniteGroup, seed_ids, by=None) -> Subgroup:
     With `by` the generators of a subgroup K that contains the seeds, the
     result is the normal closure of the seeds in K.  Seeds, then the
     conjugates of each adjoined generator, are adjoined one at a time and
-    only when they lie outside the current closure, so the closure is
-    recomputed only when the subgroup actually grows.
+    only when they lie outside the current closure, which each one then
+    extends by cosets of the closure so far.
     """
     gens = G.reduced_generator_ids() if by is None else list(by)
     hgens: list[int] = []
@@ -74,7 +74,7 @@ def normal_closure(G: FiniteGroup, seed_ids, by=None) -> Subgroup:
     for x in todo:  # grows while it is walked
         if x not in H:
             hgens.append(x)
-            H = closure_ids(G, hgens)
+            H = closure_ids(G, hgens, prior=H)
             todo.extend(G.conj(x, g) for g in gens)
     return Subgroup(G, H, gens=hgens)
 

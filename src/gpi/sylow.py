@@ -2,15 +2,23 @@
 
 The Sylow subgroup, the subgroup families and the quaternion-section test
 are computed on the ambient group's ids, with no subgroup re-rooted and no
-quotient group formed.  Maximal subgroups of a p-group come from a Burnside
-basis (generators independent modulo the Frattini subgroup); a Q8 section
-is found from a pair of its generators' preimages and the relators of Q8.
+quotient group formed.
+
+The maximal and second maximal subgroups of a p-group P are built from
+Frattini-coset codes.  A Burnside basis (generators independent modulo
+Phi(P)) gives each x in P its coordinates v in P/Phi(P) = GF(p)^d, stored
+as the integer code sum v_k p^k, and P's ids are grouped by code once.  A
+subgroup that contains Phi(P) is then a union of those cosets, picked out
+by the zero codes of one or two functionals.  A subgroup of index p*p that
+does not contain Phi(P) lies in exactly one maximal subgroup M, namely
+H*Phi(P), and is found there from M's own codes.  Every member is built
+once.  A Q8 section is found from a pair of its generators' preimages and
+the relators of Q8.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from operator import mul
 
 from .arith import factorize, p_part
 from .groups import FiniteGroup, LimitExceeded, Subgroup, closure_ids, memo
@@ -18,10 +26,10 @@ from .structure import element_power, frattini_subgroup_of_p_subgroup, normal_cl
 
 
 def _ambient(X) -> tuple[FiniteGroup, Subgroup]:
-    if isinstance(X, Subgroup):
-        return X.group, X
-    X.materialize()
-    return X, X.full_subgroup()
+    if isinstance(X, FiniteGroup):
+        X.materialize()
+        return X, X.full_subgroup()
+    return X.group, X
 
 
 @memo
@@ -54,7 +62,7 @@ def sylow_subgroup(G: FiniteGroup, p: int, within: Subgroup | None = None) -> Su
             if y in cur:
                 continue
             pgens.append(y)
-            cur = closure_ids(G, pgens)
+            cur = closure_ids(G, pgens, prior=cur)
             grew = True
             break
         if not grew:
@@ -63,17 +71,25 @@ def sylow_subgroup(G: FiniteGroup, p: int, within: Subgroup | None = None) -> Su
 
 
 def cyclic_subgroups_of_order(X, k: int) -> list[Subgroup]:
-    """All cyclic subgroups of order k, for X a group or a Subgroup."""
+    """All cyclic subgroups of order k, for X a group or a Subgroup, each
+    generated by its least id.
+
+    The scan is in id order; an element of order k that lies in a subgroup
+    found earlier generates that subgroup, so it is skipped, and each new
+    subgroup is listed by successive powers of its first element.
+    """
     G, sub = _ambient(X)
-    seen: set[frozenset[int]] = set()
+    found: set[int] = set()
     out: list[Subgroup] = []
     for x in sorted(sub.ids):
-        if G.element_order(x) != k:
+        if x in found or G.element_order(x) != k:
             continue
-        ids = frozenset(element_power(G, x, e) for e in range(k))
-        if ids in seen:
-            continue
-        seen.add(ids)
+        ids = [0, x]
+        y = G.mul(x, x)
+        while y:
+            ids.append(y)
+            y = G.mul(y, x)
+        found.update(ids)
         out.append(Subgroup(G, ids, gens=[x]))
     out.sort(key=lambda s: s.sorted_ids)
     return out
@@ -108,58 +124,125 @@ def two_minimal_subgroups(X, p: int) -> list[Subgroup]:
 
 
 @memo
+def _frattini_cosets(sub: Subgroup) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """(p, d, cosets) for a p-group P, with P/Phi(P) = GF(p)^d and cosets[c]
+    the ids of the Phi(P)-coset whose coordinates v have the code
+    c = sum v_k p^k; so cosets[0] is Phi(P) and there are p^d entries.
+
+    Burnside basis theorem: generators independent modulo Phi(P) give
+    P/Phi(P) coordinates directly, with no quotient group.  A basis
+    b_0, ..., b_{d-1} is picked greedily from P's generators while the
+    walk from Phi's ids by right multiplication with it gives every
+    element the coordinates of its Phi-coset, coord(x*b_k) = coord(x) + e_k.
+    """
+    fac = factorize(sub.order)
+    if len(fac) != 1:
+        raise ValueError("maximal-subgroup enumeration expects a p-group")
+    (p, _), = fac.items()
+    G = sub.group
+    code = dict.fromkeys(frattini_subgroup_of_p_subgroup(sub, p).ids, 0)
+    d = 0
+    for b in sub.gens:
+        if b in code:
+            continue  # b lies in <Phi, basis so far>
+        step = p**d
+        for x, c in list(code.items()):
+            for j in range(1, p):
+                x = G.mul(x, b)
+                code[x] = c + j * step
+        d += 1
+    cosets: list[list[int]] = [[] for _ in range(p**d)]
+    for x, c in code.items():
+        cosets[c].append(x)
+    return p, d, tuple(map(tuple, cosets))
+
+
+def _zeros(f, p: int) -> frozenset[int]:
+    """The codes of the v in GF(p)^len(f) with f.v = 0 mod p.
+
+    The values come from a digit recurrence: the codes below p^(k+1) are
+    those below p^k with digit k set to 0, then 1, ..., then p - 1.
+    """
+    vals = [0]
+    for fk in f:
+        vals = [(x + fk * c) % p for c in range(p) for x in vals]
+    return frozenset(c for c, v in enumerate(vals) if not v)
+
+
+def _hyperplanes(d: int, p: int):
+    """The zero codes of one nonzero functional on GF(p)^d per hyperplane
+    (its first nonzero entry 1)."""
+    for f in product(range(p), repeat=d):
+        if next(filter(None, f), 0) == 1:
+            yield _zeros(f, p)
+
+
+def _preimage(G: FiniteGroup, cosets, codes) -> Subgroup:
+    return Subgroup(G, [x for c in codes for x in cosets[c]])
+
+
+@memo
 def maximal_subgroups_of_p_group(X) -> list[Subgroup]:
     """The maximal subgroups of a p-group P, computed inside the ambient group.
 
-    Burnside basis theorem: generators independent modulo Phi(P) give
-    P/Phi(P) = GF(p)^d coordinates directly, with no quotient group.  A
-    basis is picked greedily from P's generators while the walk from Phi's
-    ids by right multiplication with it gives every element the coordinate
-    vector of its Phi-coset, coord(x*b_i) = coord(x) + e_i mod p.  The
-    maximal subgroups are the kernels of the nonzero functionals, one per
-    hyperplane (first nonzero entry 1).
+    They contain Phi(P), so each is the preimage of a hyperplane of
+    P/Phi(P) = GF(p)^d: the kernel of a nonzero functional f.  P's ids are
+    grouped once by the code of their Phi-coset (`_frattini_cosets`), f's
+    values on all p^d codes come from a digit recurrence (`_zeros`), and
+    the kernel is the union of the cosets f sends to 0: no product and no
+    dot product per element.
     """
     G, sub = _ambient(X)
-    fac = factorize(sub.order)
-    if len(fac) > 1:
-        raise ValueError("maximal-subgroup enumeration expects a p-group")
     if sub.order == 1:
         return []
-    (p, _), = fac.items()
-    coords: dict[int, tuple[int, ...]] = dict.fromkeys(
-        frattini_subgroup_of_p_subgroup(sub, p).ids, ()
-    )
-    for b in sub.gens:
-        if b in coords:
-            continue  # b lies in <Phi, basis so far>
-        for x, v in list(coords.items()):
-            coords[x] = v + (0,)
-            y = x
-            for c in range(1, p):
-                y = G.mul(y, b)
-                coords[y] = v + (c,)
-    out = []
-    for f in product(range(p), repeat=len(coords[0])):
-        if next(filter(None, f), 0) != 1:
-            continue
-        kernel = [x for x, v in coords.items() if sum(map(mul, f, v)) % p == 0]
-        out.append(Subgroup(G, kernel))
+    p, d, cosets = _frattini_cosets(sub)
+    out = [_preimage(G, cosets, zeros) for zeros in _hyperplanes(d, p)]
     out.sort(key=lambda s: s.sorted_ids)
     return out
 
 
 @memo
 def two_maximal_subgroups_of_p_group(X) -> list[Subgroup]:
-    """The subgroups of index p*p in a p-group: maximal subgroups of
-    maximal subgroups, deduplicated."""
-    sub = _ambient(X)[1]
-    seen: set[frozenset[int]] = set()
-    out: list[Subgroup] = []
-    for M in maximal_subgroups_of_p_group(sub):
-        for H in maximal_subgroups_of_p_group(M):
-            if H.ids not in seen:
-                seen.add(H.ids)
-                out.append(H)
+    """The subgroups of index p*p in a p-group P, each built once.
+
+    A subgroup H of index p*p either contains Phi(P) or it does not.
+
+    - If it does, H is the preimage of a codimension-2 subspace of
+      P/Phi(P), the common kernel of the two rows of a matrix in reduced
+      row echelon form: pivots i < j, the first row 0 before i, 1 at i
+      and 0 at j, the second row 0 up to j and 1 at j, free elsewhere.
+      Each subspace has one such matrix, so there are [d 2]_p of them.
+    - If it does not, H lies in a maximal subgroup M, and M contains
+      Phi(P), so H < H*Phi(P) <= M; as |M : H| = p, M = H*Phi(P).  So M
+      is the only maximal subgroup that contains H, and H is a maximal
+      subgroup of M that does not contain Phi(P): the kernel of a
+      functional on M/Phi(M) that does not vanish on the image of Phi(P).
+      No such H exists when Phi(P) = 1, and then no M is visited.
+
+    So every member is built once, with no set of seen id-sets.
+    """
+    G, sub = _ambient(X)
+    if sub.order == 1:
+        return []
+    p, d, cosets = _frattini_cosets(sub)
+    zeros = {}  # row -> its zero codes; a row recurs across pairs
+    out = []
+    for i, j in combinations(range(d), 2):
+        for a in product(range(p), repeat=d - i - 2):
+            f = (0,) * i + (1,) + a[: j - i - 1] + (0,) + a[j - i - 1:]
+            if f not in zeros:
+                zeros[f] = _zeros(f, p)
+            for b in product(range(p), repeat=d - j - 1):
+                g = (0,) * j + (1,) + b
+                if g not in zeros:
+                    zeros[g] = _zeros(g, p)
+                out.append(_preimage(G, cosets, zeros[f] & zeros[g]))
+    phi = frozenset(cosets[0])
+    if len(phi) > 1:
+        for M in maximal_subgroups_of_p_group(sub):
+            _, e, inner = _frattini_cosets(M)
+            image = {c for c, ids in enumerate(inner) if ids[0] in phi}
+            out += [_preimage(G, inner, z) for z in _hyperplanes(e, p) if not image <= z]
     out.sort(key=lambda s: s.sorted_ids)
     return out
 
@@ -183,7 +266,7 @@ def all_subgroups(X) -> list[Subgroup]:
             for x in members:
                 if x in ids:
                     continue
-                bigger = closure_ids(G, gens + [x])
+                bigger = closure_ids(G, gens + [x], prior=ids)
                 if bigger not in found:
                     found[bigger] = gens + [x]
                     nxt.append((bigger, gens + [x]))

@@ -7,7 +7,12 @@ on small groups) and compare the package's real algorithms against them.
 
 from __future__ import annotations
 
+from itertools import product
+from operator import mul
+
+from gpi.arith import factorize
 from gpi.groups import FiniteGroup, Subgroup, TableGroup
+from gpi.structure import frattini_subgroup_of_p_subgroup
 
 
 def brute_closure(G: FiniteGroup, seeds) -> frozenset:
@@ -140,6 +145,53 @@ def brute_span(G: FiniteGroup, seeds) -> frozenset:
             frontier = nxt
         span = frozenset(els)
     return span
+
+
+def nested_maximal_subgroups(sub: Subgroup) -> list[Subgroup]:
+    """The maximal subgroups of a p-group, as kernels of the functionals on
+    the Burnside-basis coordinates, one dot product per element and
+    functional: the package's earlier construction, kept as a reference."""
+    G = sub.group
+    fac = factorize(sub.order)
+    if len(fac) > 1:
+        raise ValueError("maximal-subgroup enumeration expects a p-group")
+    if sub.order == 1:
+        return []
+    (p, _), = fac.items()
+    coords: dict[int, tuple[int, ...]] = dict.fromkeys(
+        frattini_subgroup_of_p_subgroup(sub, p).ids, ()
+    )
+    for b in sub.gens:
+        if b in coords:
+            continue  # b lies in <Phi, basis so far>
+        for x, v in list(coords.items()):
+            coords[x] = v + (0,)
+            y = x
+            for c in range(1, p):
+                y = G.mul(y, b)
+                coords[y] = v + (c,)
+    out = []
+    for f in product(range(p), repeat=len(coords[0])):
+        if next(filter(None, f), 0) != 1:
+            continue
+        kernel = [x for x, v in coords.items() if sum(map(mul, f, v)) % p == 0]
+        out.append(Subgroup(G, kernel))
+    out.sort(key=lambda s: s.sorted_ids)
+    return out
+
+
+def nested_two_maximal_subgroups(sub: Subgroup) -> list[Subgroup]:
+    """The subgroups of index p*p in a p-group: maximal subgroups of
+    maximal subgroups, deduplicated (the package's earlier construction)."""
+    seen: set[frozenset[int]] = set()
+    out: list[Subgroup] = []
+    for M in nested_maximal_subgroups(sub):
+        for H in nested_maximal_subgroups(M):
+            if H.ids not in seen:
+                seen.add(H.ids)
+                out.append(H)
+    out.sort(key=lambda s: s.sorted_ids)
+    return out
 
 
 def brute_derived(G: FiniteGroup) -> frozenset:

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from gpi import groups
-from gpi.catalog import build_group
+from gpi.catalog import build_group, from_description
 from gpi.groups import (
     Limits,
     LimitExceeded,
@@ -36,6 +36,7 @@ from oracles import (
     brute_closure,
     brute_normalizer,
     brute_order_histogram,
+    brute_span,
     brute_two_group_shape,
 )
 
@@ -210,6 +211,32 @@ def test_closure_product_conj_sets():
     assert len(AB) == 4  # not a subgroup of a group of order 6
     r = G.id_of_perm(cyc(3, [(0, 1, 2)]))
     assert G.generated([G.conj(t, r)]).ids == frozenset({0, G.conj(t, r)}) != A
+
+
+@pytest.mark.parametrize("name", ["S7", "5^4:3", "Q16"])
+def test_closure_grows_by_cosets_like_the_brute_span(name):
+    # Seed lists closed from scratch, and closures extended one seed at a
+    # time from the closure of the seeds before it, as `Subgroup.gens` and
+    # `normal_closure` extend theirs.  Seeds may repeat, be 1, or already
+    # lie in the prior closure.  Every other list is drawn from a Sylow
+    # subgroup, so that it climbs through several proper subgroups.
+    if name == "S7":
+        G = from_description({"type": "perm", "degree": 7,
+                              "generators": [[list(range(7))], [[0, 1]]]})
+    else:
+        G = build_group(name)
+    rng = random.Random(13)
+    assert closure_ids(G, []) == closure_ids(G, [0]) == frozenset({0})
+    assert closure_ids(G, [0], prior=frozenset({0})) == frozenset({0})
+    pools = [range(G.n), sorted(sylow_subgroup(G, 2 if name != "5^4:3" else 5).ids)]
+    for trial in range(12):
+        seeds = rng.choices(pools[trial % 2], k=rng.randint(1, 4))
+        seeds += rng.sample(seeds, 1)
+        assert closure_ids(G, seeds) == brute_span(G, seeds), seeds
+        span = frozenset({0})
+        for k in range(1, len(seeds) + 1):
+            span = closure_ids(G, seeds[:k], prior=span)
+            assert span == brute_span(G, seeds[:k]), seeds[:k]
 
 
 def test_conjugation_tables_match_conj():
@@ -502,9 +529,31 @@ def test_memo_applies_defaults_and_hands_out_copies():
 
 
 def _isomorphism(G, X):
-    """An isomorphism G -> X as a list of ids, found by trying generator images."""
-    for images in itertools.product(range(X.n), repeat=len(G.generator_ids)):
-        phi = hom_from_generators(G, list(images), X.mul)
+    """An isomorphism G -> X as a list of ids, found by trying generator images.
+
+    G's breadth-first tree from 1 (first in, first out, generators in order,
+    as `hom_from_generators` walks it) is walked once; each candidate
+    extends along it, every element's image its parent's image times the
+    image of the generator that reached it."""
+    gens = G.generator_ids
+    tree = []  # (element, parent, generator index) in walk order
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for i, g in enumerate(gens):
+                b = G.mul(a, g)
+                if b not in seen:
+                    seen.add(b)
+                    tree.append((b, a, i))
+                    nxt.append(b)
+        frontier = nxt
+    assert len(seen) == G.n
+    for images in itertools.product(range(X.n), repeat=len(gens)):
+        phi = [0] * G.n
+        for b, a, i in tree:
+            phi[b] = X.mul(phi[a], images[i])
         if len(set(phi)) == X.n and hom_defect(G, phi, X.mul) is None:
             return phi
     raise AssertionError(f"{X!r} is not isomorphic to {G!r}")

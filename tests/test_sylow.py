@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from gpi import sylow
 from gpi.arith import factorize, is_prime, p_part
 from gpi.catalog import build_group, from_description, group_names
 from gpi.groups import LimitExceeded, Subgroup, closure_ids
@@ -27,6 +28,8 @@ from oracles import (
     brute_has_q8_section,
     brute_subgroups_of_order,
     brute_two_group_shape,
+    nested_maximal_subgroups,
+    nested_two_maximal_subgroups,
 )
 
 
@@ -202,6 +205,54 @@ def test_two_maximal_counts():
     assert len(two_maximal_subgroups_of_p_group(build_group("D8").full_subgroup())) == 5
     uv = sylow_subgroup(build_group("5^4:3"), 5)
     assert len(two_maximal_subgroups_of_p_group(uv)) == 806
+
+
+S8 = {"type": "perm", "degree": 8, "generators": [[list(range(8))], [[0, 1]]]}
+
+
+def _sylow_of(case):
+    if case == "S8":
+        return sylow_subgroup(from_description(S8), 2)
+    if case == "5^3:5":
+        return sylow_subgroup(from_description(CLASS_3_EXPONENT_5), 5)
+    return sylow_subgroup(build_group(case, fresh=True), 5)
+
+
+@pytest.mark.parametrize("case", ["S8", "5^3:5"])
+def test_families_match_the_nested_construction(case):
+    # The Sylow 2-subgroup of S8 (order 128) and 5^3:5, where Phi(P) != 1,
+    # so some second maximal subgroups do not contain it; then the same on
+    # the first maximal subgroup of each.
+    P = _sylow_of(case)
+    for X in (P, maximal_subgroups_of_p_group(P)[0]):
+        for build, nested in [(maximal_subgroups_of_p_group, nested_maximal_subgroups),
+                              (two_maximal_subgroups_of_p_group, nested_two_maximal_subgroups)]:
+            got, want = build(X), nested(X)
+            assert len({H.ids for H in got}) == len(got), (case, build.__name__)
+            assert [H.ids for H in got] == [H.ids for H in want], (case, build.__name__)
+            assert [H.gens for H in got] == [H.gens for H in want], (case, build.__name__)
+
+
+@pytest.mark.parametrize("case", ["5^4:3", "5^3:5", "S8"])
+def test_two_maximal_builds_each_member_once(case, monkeypatch):
+    # Each member is built once: no kernel is built and then found to
+    # repeat an earlier one.  A subgroup of index p*p that misses Phi(P)
+    # comes from the maximal subgroups, listed once beforehand.
+    P = _sylow_of(case)
+    maximal_subgroups_of_p_group(P)
+    built = []
+    real = sylow.Subgroup
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sylow, "Subgroup", counting)
+    got = two_maximal_subgroups_of_p_group(P)
+    assert len(built) == len(got)
+    assert {H.ids for H in built} == {H.ids for H in got}
+    if case == "5^4:3":
+        assert len(got) == 806
 
 
 def test_all_subgroups_against_brute():
