@@ -31,6 +31,8 @@ import functools
 import inspect
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd
+from operator import itemgetter
 
 from . import bsgs
 from .perm import Perm
@@ -161,13 +163,17 @@ class FiniteGroup:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
     def element_order(self, a: int) -> int:
+        """The order m of a, found by walking its powers; each power a^j
+        walked is recorded too, with order m / gcd(j, m)."""
         got = self._orders.get(a)
         if got is None:
-            cur, got = a, 1
-            while cur != 0:
-                cur = self.mul(cur, a)
-                got += 1
-            self._orders[a] = got
+            mul = self.mul
+            powers = [a]
+            while powers[-1] != 0:
+                powers.append(mul(powers[-1], a))
+            got = len(powers)
+            for j, x in enumerate(powers, 1):
+                self._orders[x] = got // gcd(j, got)
         return got
 
     @memo
@@ -476,6 +482,8 @@ class PermGroup(FiniteGroup):
                 f"degree {degree} exceeds the ceiling {self.limits.max_degree}"
             )
         self.degree = degree
+        if degree < 2:  # itemgetter needs an index, and returns a scalar for one
+            self.mul = lambda a, b: self._ids[tuple(self._els[b][x] for x in self._els[a])]
         self._given = [g for g in dict.fromkeys(gens) if not g.is_identity()]
         self._order: int | None = None
         self._els: list[tuple[int, ...]] = []
@@ -492,12 +500,13 @@ class PermGroup(FiniteGroup):
         els = [ident]
         ids = {ident: 0}
         gens = [g.images for g in self._given]
-        frontier = [ident]
+        frontier = [ident] if gens else []  # itemgetter(*()) fails at degree 0
         while frontier:
             nxt = []
             for a in frontier:
+                step = itemgetter(*a)
                 for g in gens:
-                    b = tuple(g[x] for x in a)
+                    b = step(g)
                     if b not in ids:
                         ids[b] = len(els)
                         els.append(b)
@@ -521,8 +530,9 @@ class PermGroup(FiniteGroup):
         self._gen_ids = [ids[g] for g in gens]
 
     def mul(self, a: int, b: int) -> int:
-        bb = self._els[b]
-        return self._ids[tuple(bb[x] for x in self._els[a])]
+        # One C call: itemgetter(*a)(b) is the tuple (b[a[0]], b[a[1]], ...).
+        els = self._els
+        return self._ids[itemgetter(*els[a])(els[b])]
 
     def inv(self, a: int) -> int:
         return self._inv_arr[a]

@@ -3,7 +3,10 @@
 The minimal normal overgroups of a normal subgroup (its chief steps, found
 from the principal normal closures, one per conjugacy class) are memoised on
 the group handle; they are the successor moves of every series walk in the
-package, the walk over the whole lattice included.  The characteristic
+package, the walk over the whole lattice included.  For normal N and P the
+join N v P is the product set NP, of order |N||P|/|N n P|, so the order of
+every candidate step is read off an id-set intersection before any product
+set is built, and the steps are found smallest first.  The characteristic
 subgroups read off the lattice (the hypercentre, the p-core, the
 terms of the upper p-series) are climbs along those chief steps (`climb`),
 with no quotient group formed.
@@ -46,18 +49,25 @@ def minimal_normal_overgroups(G: FiniteGroup, N: Subgroup) -> list[Subgroup]:
     Every normal overgroup of N contains the closure of one of its elements,
     so the inclusion-minimal joins N v P over principal closures P are exactly
     the chief steps out of N.
+
+    Both are normal, so |N v P| = |N||P|/|N n P| is known before the join
+    is built.  The closures are walked by that order, smallest first (ties
+    in closure order).  A P inside a step already taken joins N to that
+    step, since its join lies in the step and is no smaller; any other
+    join is built, and it is a step unless it contains one already taken.
+    So each step is built once, from the first closure that reaches it,
+    and no product set is formed for a closure that only reaches it again.
     """
-    cand: dict[frozenset, Subgroup] = {}
-    for P in principal_normal_closures(G):
-        if P.ids <= N.ids:
+    n = N.order
+    out: list[Subgroup] = []
+    for P in sorted((P for P in principal_normal_closures(G) if not P.ids <= N.ids),
+                    key=lambda P: n * P.order // len(N.ids & P.ids)):
+        if any(P.ids <= S.ids for S in out):
             continue
         J = _join_normal(G, N, P)
-        cand.setdefault(J.ids, J)
-    out: list[Subgroup] = []
-    for J in sorted(cand.values(), key=lambda S: (S.order, S.sorted_ids)):
-        if not any(R.ids <= J.ids for R in out):
+        if not any(S.ids <= J.ids for S in out):
             out.append(J)
-    return out
+    return sorted(out, key=lambda S: (S.order, S.sorted_ids))
 
 
 @memo

@@ -12,6 +12,7 @@ from operator import mul
 
 from gpi.arith import factorize
 from gpi.groups import FiniteGroup, Subgroup, TableGroup
+from gpi.series import _join_normal, principal_normal_closures
 from gpi.structure import frattini_subgroup_of_p_subgroup
 
 
@@ -228,6 +229,27 @@ def brute_normal_lattice(G: FiniteGroup) -> set[frozenset]:
                     fresh.append(join)
         frontier = fresh
     return lattice
+
+
+def join_all_minimal_normal_overgroups(G: FiniteGroup, N: Subgroup) -> list[Subgroup]:
+    """Normal subgroups M > N with nothing normal strictly between.
+
+    Every normal overgroup of N contains the closure of one of its elements,
+    so the inclusion-minimal joins N v P over principal closures P are exactly
+    the chief steps out of N.  Every join is built as a product set: the
+    package's earlier construction, kept as a reference.
+    """
+    cand: dict[frozenset, Subgroup] = {}
+    for P in principal_normal_closures(G):
+        if P.ids <= N.ids:
+            continue
+        J = _join_normal(G, N, P)
+        cand.setdefault(J.ids, J)
+    out: list[Subgroup] = []
+    for J in sorted(cand.values(), key=lambda S: (S.order, S.sorted_ids)):
+        if not any(R.ids <= J.ids for R in out):
+            out.append(J)
+    return out
 
 
 def brute_core(G: FiniteGroup, pred) -> frozenset:

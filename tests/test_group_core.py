@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from gpi import groups
-from gpi.catalog import build_group, from_description
+from gpi.catalog import build_group, from_description, group_names
 from gpi.groups import (
     Limits,
     LimitExceeded,
@@ -186,6 +186,29 @@ def test_mul_inv_match_permutation_arithmetic():
         G.id_of_perm(Perm.identity(5))
 
 
+def test_mul_inv_at_degrees_one_and_two():
+    for degree in (1, 2):
+        triv = PermGroup([], degree=degree)
+        assert triv.n == 1 and triv.mul(0, 0) == 0 and triv.inv(0) == 0
+        assert triv.perm(0) == Perm.identity(degree)
+    G = PermGroup([cyc(2, [(0, 1)])])
+    t = G.id_of_perm(cyc(2, [(0, 1)]))
+    assert G.n == 2 and G.mul(t, t) == 0 and G.mul(0, t) == G.mul(t, 0) == G.inv(t) == t
+
+
+@pytest.mark.parametrize("name", [n for n in group_names()
+                                  if isinstance(build_group(n), PermGroup)])
+def test_mul_inv_match_permutation_arithmetic_on_the_catalogue(name):
+    # Every id times a spread of ids (all of them up to order 120).
+    G = build_group(name)
+    perms = [G.perm(a) for a in range(G.n)]
+    rights = range(0, G.n, max(1, G.n // 120))
+    for a, pa in enumerate(perms):
+        assert perms[G.inv(a)] == pa.inverse()
+        for b in rights:
+            assert perms[G.mul(a, b)] == pa * perms[b]
+
+
 def test_element_orders_and_exponent():
     G = s4()
     hist = {}
@@ -197,6 +220,26 @@ def test_element_orders_and_exponent():
     assert math.lcm(*(D.element_order(a) for a in range(D.n))) == 4
     assert not G.is_abelian()
     assert cn_table(6).is_abelian()
+
+
+@pytest.mark.parametrize("name", ["S7", "5^4:3", "Q16"])
+def test_element_orders_filled_by_power_walks_match_brute_orders(name):
+    # Orders asked in id order, then in reverse on a second handle, so that
+    # most are read from an earlier walk; each against its own power loop.
+    def brute_order(G, a):
+        k, x = 1, a
+        while x != 0:
+            x, k = G.mul(x, a), k + 1
+        return k
+
+    for ids in (range, lambda n: range(n - 1, -1, -1)):
+        if name == "S7":
+            G = from_description({"type": "perm", "degree": 7,
+                                  "generators": [[list(range(7))], [[0, 1]]]})
+        else:
+            G = build_group(name, fresh=True)
+        got = {a: G.element_order(a) for a in ids(G.n)}
+        assert got == {a: brute_order(G, a) for a in range(G.n)}
 
 
 def test_closure_product_conj_sets():

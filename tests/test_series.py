@@ -1,7 +1,10 @@
+import functools
+
 import pytest
 
+from gpi import series
 from gpi.arith import prime_set
-from gpi.catalog import build_group, group_names
+from gpi.catalog import build_group, from_description, group_names
 from gpi.groups import Subgroup
 from gpi.perm import Perm
 from gpi.series import (
@@ -26,7 +29,12 @@ from gpi.series import (
 )
 
 from affine import affine_group
-from oracles import brute_hypercenter, brute_normal_lattice, brute_normal_subgroups
+from oracles import (
+    brute_hypercenter,
+    brute_normal_lattice,
+    brute_normal_subgroups,
+    join_all_minimal_normal_overgroups,
+)
 
 cyc = Perm.from_cycles
 
@@ -254,13 +262,58 @@ def _lattice_upper_p_series(G, lattice, p):
     return terms, kinds
 
 
+@functools.cache
+def _group(name):
+    """One shared handle per name: catalogue groups, the affine groups, S7."""
+    if name == "S7":
+        return from_description({"type": "perm", "degree": 7,
+                                 "generators": [[list(range(7))], [[0, 1]]]})
+    return affine_group(name) if name.startswith(("ASL", "AGL")) else build_group(name)
+
+
+@functools.cache
+def _brute_lattice(name):
+    return brute_normal_lattice(_group(name))
+
+
+@pytest.mark.parametrize("name", [*group_names(), "ASL(2,3)", "AGL(2,3)", "AGL(2,5)", "S7"])
+def test_chief_steps_match_the_join_all_reference(name):
+    # The steps out of every normal N, found smallest join first, against
+    # the earlier construction that builds every join N v P: the same
+    # id-sets in the same order, each with the same generators.  Both are
+    # also N's covers in the brute normal lattice.
+    G = _group(name)
+    lattice = _brute_lattice(name)
+    normals = normal_subgroups(G)
+    assert {N.ids for N in normals} == lattice
+    for N in normals:
+        steps = minimal_normal_overgroups(G, N)
+        want = join_all_minimal_normal_overgroups(G, N)
+        assert [(M.ids, M.gens) for M in steps] == [(M.ids, M.gens) for M in want]
+        over = [M for M in lattice if N.ids < M]
+        covers = [M for M in over if not any(W < M for W in over)]
+        assert [M.ids for M in steps] == sorted(covers, key=lambda M: (len(M), sorted(M)))
+
+
+def test_lattice_builds_few_product_sets(monkeypatch):
+    # On 5^4:3 the join-all construction forms 650 product sets to find
+    # the 29 normal subgroups; walking the joins by their order forms 26.
+    calls = []
+    product_ids = series.product_ids
+    monkeypatch.setattr(series, "product_ids",
+                        lambda G, left, right: calls.append(1) or product_ids(G, left, right))
+    G = build_group("5^4:3", fresh=True)
+    assert len(normal_subgroups(G)) == 29
+    assert len(calls) == 26
+
+
 @pytest.mark.parametrize("name", [*group_names(), "ASL(2,3)", "AGL(2,3)"])
 def test_climbs_match_the_brute_lattice(name):
     # Hypercentre, cores and upper p-series against references built from
     # the brute normal lattice (and the brute centre climb up to order
     # 720), at every prime of |G| and at 7, which divides none.
-    G = affine_group(name) if name.startswith(("ASL", "AGL")) else build_group(name)
-    lattice = brute_normal_lattice(G)
+    G = _group(name)
+    lattice = _brute_lattice(name)
     trivial = frozenset((0,))
     if G.n <= 720:
         assert hypercenter(G).ids == brute_hypercenter(G)
