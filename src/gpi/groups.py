@@ -65,12 +65,16 @@ def memo(fn):
 
     The owner is the first argument, or its ambient group when that is a
     `Subgroup`.  Results live in `owner.memo[fn.__qualname__]`, keyed by the
-    other arguments with defaults applied; a `Subgroup` first argument stays
-    in the key.  A stored list is handed out as a shallow copy, so callers
-    may mutate what they get.
+    values of all other parameters in signature order, defaults applied
+    (keyword-only ones too), however the call passes them; a `Subgroup`
+    first argument stays in the key.  A stored list is handed out as a
+    shallow copy, so callers may mutate what they get.
     """
     sig = inspect.signature(fn)
-    defaults = tuple(p.default for p in sig.parameters.values())
+    params = sig.parameters.values()
+    if any(p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) for p in params):
+        raise TypeError(f"memo cannot key {fn.__qualname__}: it takes *args or **kwargs")
+    defaults = tuple(p.default for p in params)
     name = fn.__qualname__
 
     @functools.wraps(fn)
@@ -78,7 +82,7 @@ def memo(fn):
         if kwargs:
             bound = sig.bind(*args, **kwargs)
             bound.apply_defaults()
-            full = bound.args
+            full = tuple(bound.arguments.values())
         else:
             full = args + defaults[len(args):]
         if isinstance(full[0], Subgroup):

@@ -14,6 +14,10 @@ is the set of K-coset numbers that H meet M hits (`G.left_cosets`), and
 its normalizer orbit in G/K runs on those numbers through the coset
 conjugation tables of K (`G.coset_conjugation_tables`).  Over a trivial
 K the cosets are the ids themselves and the orbit runs on ids.
+
+The index depends on H only through that meet, and distinct subgroups
+often share one, so it is made once per group and query: the orbit runs
+the first time a (K, meet) pair is asked and is remembered on the group.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ def factor_condition(G: FiniteGroup, H: Subgroup, K: Subgroup, M: Subgroup) -> F
     The meet (H meet M)K/K is read as the set of K-coset numbers that
     H meet M hits, one lookup per element, so |meet| = cosets * |K| with
     no id-set of that size built.  A meet equal to K or M is normal and
-    has index 1; any other meet gets its normalizer orbit in G/K.
+    has index 1; any other meet's index is its normalizer orbit in G/K,
+    run once per group and query (`_normalizer_index`).
     """
     hm = H.ids & M.ids
     if K.is_trivial:
@@ -69,8 +74,16 @@ def factor_condition(G: FiniteGroup, H: Subgroup, K: Subgroup, M: Subgroup) -> F
     meet_order = len(meet) * K.order
     if meet_order == K.order or meet_order == M.order:
         return _factor_check(G, K.order, M.order, meet_order, 1)
-    idx = normalizer_index(G, meet, modulus=modulus)
+    idx = _normalizer_index(G, modulus, meet)
     return _factor_check(G, K.order, M.order, meet_order, idx)
+
+
+@memo
+def _normalizer_index(G: FiniteGroup, modulus: frozenset | None, meet: frozenset) -> int:
+    """The orbit size of `normalizer_index`, made once per group and query:
+    `modulus` is None over a trivial K and K's ids otherwise, `meet` the
+    ids or K-coset numbers that `factor_condition` forms."""
+    return normalizer_index(G, meet, modulus=modulus)
 
 
 @memo
@@ -95,7 +108,9 @@ class PiWitness:
         return ChiefSeries(self.group, self.terms)
 
     def verify(self) -> bool:
-        """Revalidate the series and recompute every factor from scratch."""
+        """Revalidate the series and recompute every factor check; each
+        orbit runs once per group and query, so a replay on the deciding
+        handle reads the indices the search made."""
         try:
             self.series().validate()
         except ValueError:

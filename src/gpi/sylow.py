@@ -32,11 +32,24 @@ def _ambient(X) -> tuple[FiniteGroup, Subgroup]:
     return X.group, X
 
 
-@memo
 def sylow_subgroup(G: FiniteGroup, p: int, within: Subgroup | None = None) -> Subgroup:
     """A Sylow p-subgroup of `within` (default: of G), as a subgroup of G.
 
-    Grown one generator at a time: while P is not yet a full Sylow
+    A p-group `within` is its own Sylow p-subgroup and is returned as it
+    is; a full `within` shares the answer for G.  Otherwise the answer is
+    grown once per group and argument (`_grown_sylow`).
+    """
+    if within is not None:
+        if within.is_full:
+            within = None
+        elif p_part(within.order, p) == within.order:
+            return within
+    return _grown_sylow(G, p, within)
+
+
+@memo
+def _grown_sylow(G: FiniteGroup, p: int, within: Subgroup | None) -> Subgroup:
+    """Grown one generator at a time: while P is not yet a full Sylow
     p-subgroup, its normalizer in `within` contains an element whose
     p-part lies outside P, and adjoining that p-part keeps the closure
     a p-group.  The scan is in id order, so the result is deterministic.
@@ -100,21 +113,24 @@ def two_minimal_subgroups(X, p: int) -> list[Subgroup]:
     """The subgroups of order p*p of X: cyclic ones from elements of
     order p*p, elementary ones from commuting pairs of order-p lines.
 
-    Each elementary plane is built once, from the first pair of its p + 1
-    lines; a later pair is skipped when its second line already lies in
-    a plane built through the first.  Coverage is kept as line numbers,
-    p + 1 per plane.
+    Each elementary plane is built once, from the first pair A, B of its
+    p + 1 lines, as A, B and the (p - 1)^2 products xy with x in A and y
+    in B both nontrivial; a later pair is skipped when its second line
+    already lies in a plane built through the first.  Coverage is kept as
+    line numbers, p + 1 per plane.
     """
     G, sub = _ambient(X)
     out = cyclic_subgroups_of_order(sub, p * p)
     lines = cyclic_subgroups_of_order(sub, p)
-    line_of = {x: i for i, L in enumerate(lines) for x in L.ids if x}
+    gens = [L.gens[0] for L in lines]
+    rest = [[x for x in L.ids if x] for L in lines]  # each line without 1
+    line_of = {x: i for i, xs in enumerate(rest) for x in xs}
     covered: list[set[int]] = [set() for _ in lines]  # lines of planes built through each line
-    for (i, A), (j, B) in combinations(enumerate(lines), 2):
-        a, b = A.gens[0], B.gens[0]
+    for i, j in combinations(range(len(lines)), 2):
+        a, b = gens[i], gens[j]
         if j in covered[i] or G.mul(a, b) != G.mul(b, a):
             continue
-        ids = frozenset(G.mul(x, y) for x in A.ids for y in B.ids)
+        ids = lines[i].ids | lines[j].ids | {G.mul(x, y) for x in rest[i] for y in rest[j]}
         on = {line_of[x] for x in ids if x}
         for k in on:
             covered[k] |= on

@@ -14,9 +14,13 @@ from pathlib import Path
 import pytest
 
 import gpi
+from gpi import structure
 from gpi import verify as verify_mod
+from gpi.catalog import build_group
 from gpi.cli import main
+from gpi.partialpi import satisfies_partial_pi
 from gpi.perm import Perm
+from gpi.sylow import cyclic_subgroups_of_order
 from gpi.verify import TheoremReport
 
 S3_DESC = json.dumps(
@@ -465,3 +469,27 @@ def test_tracer_layers_resolve_on_a_fresh_import():
     got = json.loads(proc.stdout)
     assert got["missing"] == []
     assert got["targets"] >= 27
+
+
+def test_engine_calls_normalizer_index_as_the_tracer_unpacks_it(monkeypatch):
+    # perfbench/tracer.py reads `G, ids = args` off every call it wraps, so
+    # the engine passes the group and the id-set by position and `modulus`
+    # only by keyword.  Every gpi module that binds the kernel is wrapped.
+    calls = []
+    orbit = structure.normalizer_index
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return orbit(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "gpi" and getattr(mod, "normalizer_index", None) is orbit:
+            monkeypatch.setattr(mod, "normalizer_index", recorded)
+    for name in ("GL(2,3)", "S4"):
+        G = build_group(name, fresh=True)
+        for k in {G.element_order(x) for x in range(G.n)}:
+            for H in cyclic_subgroups_of_order(G, k):
+                satisfies_partial_pi(G, H)
+    assert calls
+    assert all(len(args) == 2 and set(kwargs) <= {"modulus"} for args, kwargs in calls)
+    assert any(kwargs.get("modulus") is not None for _, kwargs in calls)

@@ -571,6 +571,24 @@ def test_memo_applies_defaults_and_hands_out_copies():
     assert len(maximal_subgroups_of_p_group(P)) == 3
 
 
+def test_memo_keys_keyword_only_parameters():
+    calls = []
+
+    @groups.memo
+    def f(G, x, *, k=0):
+        calls.append((x, k))
+        return (x, k)
+
+    G = s3()
+    assert f(G, 1, k=1) == (1, 1)
+    assert f(G, 1, k=2) == (1, 2)
+    # Positional and keyword calls, defaults given or not, share one entry.
+    assert f(G, 1) == f(G, 1, k=0) == f(G, x=1) == f(G, x=1, k=0) == (1, 0)
+    assert calls == [(1, 1), (1, 2), (1, 0)]
+    with pytest.raises(TypeError):
+        groups.memo(lambda G, *xs: xs)
+
+
 def _isomorphism(G, X):
     """An isomorphism G -> X as a list of ids, found by trying generator images.
 

@@ -21,7 +21,9 @@ from gpi.structure import centre, p_residual
 from gpi.sylow import (
     all_subgroups,
     cyclic_subgroups_of_order,
+    maximal_subgroups_of_p_group,
     sylow_subgroup,
+    two_maximal_subgroups_of_p_group,
     two_minimal_subgroups,
 )
 
@@ -179,6 +181,49 @@ def test_verdict_does_not_depend_on_branch_order(monkeypatch):
                 assert v.verify() and flipped.verify()
                 moved += [t.ids for t in v.terms] != [t.ids for t in flipped.terms]
     assert moved > 0  # C12 has two chief steps out of 1
+
+
+def test_normalizer_orbit_runs_once_per_query(monkeypatch):
+    # The index depends on H only through the meet, so on one handle each
+    # (K, meet) query runs its orbit once, however many subgroups ask it.
+    orbits, asked = [], [0]
+    orbit, check = partialpi.normalizer_index, partialpi.factor_condition
+
+    def counted_orbit(G, ids, *, modulus=None):
+        orbits.append((modulus, ids))
+        return orbit(G, ids, modulus=modulus)
+
+    def counted_check(G, H, K, M):
+        fc = check(G, H, K, M)
+        asked[0] += fc.meet_order not in (K.order, M.order)
+        return fc
+
+    monkeypatch.setattr(partialpi, "normalizer_index", counted_orbit)
+    monkeypatch.setattr(partialpi, "factor_condition", counted_check)
+
+    def population(G):
+        subs = [H for k in range(2, 7) for H in cyclic_subgroups_of_order(G, k)]
+        for p in prime_set(G.n):
+            P = sylow_subgroup(G, p)
+            subs += [P, *two_minimal_subgroups(P, p), *maximal_subgroups_of_p_group(P),
+                     *two_maximal_subgroups_of_p_group(P)]
+        return list(dict.fromkeys(subs))  # a Subgroup hashes by its ids
+
+    moduli = set()
+    for name in ("GL(2,3)", "S5"):
+        orbits.clear()
+        asked[0] = 0
+        G = build_group(name, fresh=True)
+        verdicts = [satisfies_partial_pi(G, H).to_json() for H in population(G)]
+        first = set(orbits)
+        assert len(orbits) == len(first) < asked[0], name
+        moduli |= {modulus for modulus, _ in first}
+        orbits.clear()
+        F = build_group(name, fresh=True)
+        backwards = [satisfies_partial_pi(F, H).to_json() for H in population(F)[::-1]]
+        assert backwards[::-1] == verdicts, name
+        assert len(orbits) == len(first) and set(orbits) == first, name
+    assert None in moduli and len(moduli) > 1  # orbits on ids and on K-cosets
 
 
 def test_big_group_sample_verdicts():

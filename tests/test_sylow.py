@@ -11,6 +11,7 @@ from gpi import sylow
 from gpi.arith import factorize, is_prime, p_part
 from gpi.catalog import build_group, from_description, group_names
 from gpi.groups import LimitExceeded, Subgroup, closure_ids
+from gpi.series import normal_subgroups
 from gpi.structure import frattini_subgroup_of_p_subgroup, p_residual
 from gpi.sylow import (
     all_subgroups,
@@ -71,6 +72,20 @@ def test_sylow_within_subgroup():
     P = sylow_subgroup(G, 2, within=a4)
     assert _is_sylow(G, P, 2, within=a4)
     assert P.order == 4
+
+
+@pytest.mark.parametrize("name", group_names())
+def test_sylow_within_p_groups_and_the_full_group(name):
+    G = build_group(name)
+    for E in normal_subgroups(G):
+        for p in factorize(G.n):
+            P = sylow_subgroup(G, p, within=E)
+            if E.is_full:
+                assert P is sylow_subgroup(G, p), (name, p)
+            elif p_part(E.order, p) == E.order:
+                assert P is E, (name, p, E.order)
+            else:
+                assert _is_sylow(G, P, p, within=E), (name, p, E.order)
 
 
 def test_sylow_missing_prime_is_trivial():
