@@ -15,6 +15,8 @@ not products of single elements:
 
 - `conjugation_tables`: one table x -> g^-1 x g per reduced generator g,
   n ids each;
+- `class_labels`: the class number of each id, n labels, recorded by the
+  class BFS that `conjugacy_class_reps` runs over those tables;
 - `left_cosets`: one left-coset numbering per subgroup id-set a product,
   quotient or factor check is taken by, n labels and one representative
   per coset;
@@ -31,7 +33,7 @@ import functools
 import inspect
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd
+from math import gcd, inf
 from operator import itemgetter
 
 from . import bsgs
@@ -243,25 +245,32 @@ class FiniteGroup:
 
     @memo
     def conjugacy_class_reps(self) -> list[int]:
+        """The least id of each class; the BFS also records `class_labels`."""
         tables = self.conjugation_tables()
-        seen = bytearray(self.n)
+        label = [-1] * self.n
         reps = []
         for a in range(self.n):
-            if seen[a]:
+            if label[a] >= 0:
                 continue
+            c = label[a] = len(reps)
             reps.append(a)
-            seen[a] = 1
             frontier = [a]
             while frontier:
                 nxt = []
                 for x in frontier:
                     for t in tables:
                         y = t[x]
-                        if not seen[y]:
-                            seen[y] = 1
+                        if label[y] < 0:
+                            label[y] = c
                             nxt.append(y)
                 frontier = nxt
+        self._class_labels = tuple(label)
         return reps
+
+    def class_labels(self) -> tuple[int, ...]:
+        """labels[x] is the position of x's class in `conjugacy_class_reps()`."""
+        self.conjugacy_class_reps()
+        return self._class_labels
 
     def is_abelian(self) -> bool:
         gens = self.generator_ids
@@ -290,7 +299,8 @@ class FiniteGroup:
 # -- id-set algebra -----------------------------------------------------------
 
 
-def closure_ids(G: FiniteGroup, seed_ids, *, prior: frozenset | None = None) -> frozenset:
+def closure_ids(G: FiniteGroup, seed_ids, *, prior: frozenset | None = None,
+                bound: float = inf, stop: set | frozenset = frozenset()) -> frozenset:
     """Ids of the subgroup generated by the seeds, grown by right cosets.
 
     Seeds are adjoined in order (Dimino's algorithm).  When a seed lies
@@ -305,7 +315,8 @@ def closure_ids(G: FiniteGroup, seed_ids, *, prior: frozenset | None = None) -> 
     walk takes one per element and seed.
 
     `prior` is the closed id-set of all seeds but the last, when the
-    caller has it; only the last seed is then adjoined.
+    caller has it; only the last seed is then adjoined.  Growth gives up,
+    returning the empty set, once a new coset would pass `bound` ids or meet `stop`.
     """
     gens = [s for s in dict.fromkeys(seed_ids) if s != 0]
     if prior is None:
@@ -324,8 +335,12 @@ def closure_ids(G: FiniteGroup, seed_ids, *, prior: frozenset | None = None) -> 
             for g in now:
                 x = mul(r, g)
                 if x not in have:
+                    if len(els) + len(H) > bound:
+                        return frozenset()
                     reps.append(x)
                     coset = [mul(h, x) for h in H]
+                    if stop and not stop.isdisjoint(coset):
+                        return frozenset()
                     have.update(coset)
                     els += coset
     return frozenset(els)

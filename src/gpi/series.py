@@ -17,20 +17,49 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import factorize, is_prime, p_part
-from .groups import FiniteGroup, Subgroup, memo, product_ids
-from .structure import normal_closure
+from .groups import FiniteGroup, Subgroup, closure_ids, memo, product_ids
+from .structure import element_power
 
 
 @memo
 def principal_normal_closures(G: FiniteGroup) -> list[Subgroup]:
-    """Normal closures of single elements, one per conjugacy class, deduped."""
-    seen: dict[frozenset, Subgroup] = {}
-    for rep in G.conjugacy_class_reps():
-        if rep == 0:
-            continue
-        P = normal_closure(G, [rep])
-        seen.setdefault(P.ids, P)
-    return sorted(seen.values(), key=lambda S: (S.order, S.sorted_ids))
+    """Normal closures of single elements, one per conjugacy class, deduped.
+
+    Classes are visited by increasing element order, so ncl(x^q) is known
+    for each prime q of o(x), and ncl(x) holds it.  If x lies in the largest
+    of these, S, which is normal, ncl(x) is S.  Otherwise x and the
+    conjugates of each element adjoined (from `conjugation_tables`) are
+    adjoined to S by cosets.  ncl(x) lies in N, the smallest known closure
+    holding x (or G).  It is N, and takes N's generators (G's reduced ones),
+    as soon as the subgroup grown must have more than |N|/2 elements, as its
+    order divides |N|, or meets a class closing to N, whose closure it holds.
+    """
+    reps, label = G.conjugacy_class_reps(), G.class_labels()
+    tables, full = G.conjugation_tables(), G.full_subgroup()
+    members: list[list[int]] = [[] for _ in reps]  # by class label
+    for z, c in enumerate(label):
+        members[c].append(z)
+    known = [G.trivial_subgroup()] + [None] * (len(reps) - 1)  # closure by class label
+    closing_to: dict[Subgroup, set] = {}  # each closure -> the ids whose closure it is
+    for c in sorted(range(1, len(reps)), key=lambda c: G.element_order(reps[c])):
+        x = reps[c]
+        P = max((known[label[element_power(G, x, q)]] for q in factorize(G.element_order(x))),
+                key=lambda S: S.order)
+        if x not in P.ids:
+            N = min((S for S in closing_to if x in S.ids), key=lambda S: S.order, default=full)
+            H, gens, todo, stop = P.ids, P.gens, [x], closing_to.get(N, frozenset())
+            for y in todo:  # grows while it is walked
+                if y in H:
+                    continue
+                gens.append(y)
+                H = closure_ids(G, gens, prior=H, bound=N.order // 2, stop=stop)
+                if not H:
+                    break
+                todo.extend(t[y] for t in tables)
+            P = Subgroup(G, H, gens=gens) if H else N
+        known[c] = P
+        closing_to.setdefault(P, set()).update(members[c])
+    return sorted(closing_to, key=lambda S: (S.order, S.sorted_ids))
 
 
 def _join_normal(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:

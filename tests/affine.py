@@ -8,6 +8,7 @@ benchmark's workload list.
 
 from __future__ import annotations
 
+from gpi.arith import factorize
 from gpi.catalog import from_description
 
 
@@ -25,10 +26,17 @@ def _cycles(images: list[int]) -> list[list[int]]:
     return out
 
 
+def least_primitive_root(p: int) -> int:
+    """The least a whose powers mod the prime p give every unit."""
+    return next(a for a in range(2, p)
+                if all(pow(a, (p - 1) // q, p) != 1 for q in factorize(p - 1)))
+
+
 def affine_description(p: int, general: bool) -> dict:
     """Perm description of ASL(2,p), or AGL(2,p) when `general`, on the
     points of GF(p)^2: a translation, [[1,1],[0,1]] and [[0,-1],[1,0]],
-    plus diag(2,1) for AGL."""
+    plus diag(a,1) for AGL, a the least primitive root mod p, so that the
+    determinants fill GF(p)*."""
     points = [(x, y) for x in range(p) for y in range(p)]
     index = {v: i for i, v in enumerate(points)}
 
@@ -38,7 +46,7 @@ def affine_description(p: int, general: bool) -> dict:
 
     gens = [affine(1, 0, 0, 1, shift=1), affine(1, 1, 0, 1), affine(0, p - 1, 1, 0)]
     if general:
-        gens.append(affine(2, 0, 0, 1))
+        gens.append(affine(least_primitive_root(p), 0, 0, 1))
     name = f"{'AGL' if general else 'ASL'}(2,{p})"
     return {"type": "perm", "degree": p * p, "generators": gens, "name": name}
 

@@ -13,7 +13,7 @@ from operator import mul
 from gpi.arith import factorize
 from gpi.groups import FiniteGroup, Subgroup, TableGroup
 from gpi.series import _join_normal, principal_normal_closures
-from gpi.structure import frattini_subgroup_of_p_subgroup
+from gpi.structure import frattini_subgroup_of_p_subgroup, normal_closure
 
 
 def brute_closure(G: FiniteGroup, seeds) -> frozenset:
@@ -250,6 +250,19 @@ def join_all_minimal_normal_overgroups(G: FiniteGroup, N: Subgroup) -> list[Subg
         if not any(R.ids <= J.ids for R in out):
             out.append(J)
     return out
+
+
+def principal_normal_closures_from_scratch(G: FiniteGroup) -> list[Subgroup]:
+    """Normal closures of single elements, one per conjugacy class, deduped:
+    the package's earlier construction, which grows each class
+    representative's closure from the trivial subgroup, kept as a reference."""
+    seen: dict[frozenset, Subgroup] = {}
+    for rep in G.conjugacy_class_reps():
+        if rep == 0:
+            continue
+        P = normal_closure(G, [rep])
+        seen.setdefault(P.ids, P)
+    return sorted(seen.values(), key=lambda S: (S.order, S.sorted_ids))
 
 
 def brute_core(G: FiniteGroup, pred) -> frozenset:

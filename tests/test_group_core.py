@@ -31,6 +31,7 @@ from gpi.sylow import (
     sylow_subgroup,
 )
 
+from affine import affine_description
 from oracles import (
     brute_center,
     brute_closure,
@@ -417,6 +418,16 @@ def test_conjugacy_class_reps_cover():
     for a in reps:
         seen |= {G.conj(a, g) for g in range(G.n)}
     assert len(seen) == 24
+
+
+@pytest.mark.parametrize("p,agl", [(3, 432), (5, 12_000), (7, 98_784)])
+def test_affine_groups_have_their_orders(p, agl):
+    # AGL(2,p) has order p^2 |GL(2,p)| = p^3 (p^2 - 1)(p - 1), and ASL(2,p)
+    # p^3 (p^2 - 1); the stabilizer chain decides both without materialising.
+    for general, want in ((True, agl), (False, p**3 * (p * p - 1))):
+        G = from_description(affine_description(p, general))
+        assert G.order() == want
+        assert G._n is None
 
 
 def test_table_group_validation():
