@@ -13,13 +13,17 @@ in the package are written once against that face.
 The orbit kernels read id tables built once per group and kept in `G.memo`,
 not products of single elements:
 
+- `translation_tables`: one table x -> g^-1 x per reduced generator g,
+  n ids each, at n products per generator;
 - `conjugation_tables`: one table x -> g^-1 x g per reduced generator g,
-  n ids each;
+  n ids each, read as (g^-1 x) g off the translation tables at n more
+  products per generator;
 - `class_labels`: the class number of each id, n labels, recorded by the
-  class BFS that `conjugacy_class_reps` runs over those tables;
+  class BFS that `conjugacy_class_reps` runs over the conjugation tables;
 - `left_cosets`: one left-coset numbering per subgroup id-set a product,
   quotient or factor check is taken by, n labels and one representative
-  per coset;
+  per coset, walked over the translation tables at n lookups and no
+  products;
 - `coset_conjugation_tables`: for a normal subgroup K, one table per
   reduced generator over the |G:K| coset numbers, read off the two above.
 
@@ -195,38 +199,63 @@ class FiniteGroup:
         return keep
 
     @memo
-    def conjugation_tables(self) -> tuple[tuple[int, ...], ...]:
-        """For each reduced generator g, the table x -> g^-1 x g over all ids.
+    def translation_tables(self) -> tuple[tuple[int, ...], ...]:
+        """For each reduced generator g, the table x -> g^-1 x over all ids.
 
-        Costs 2n products per generator, once per group.
+        Costs n products per generator, once per group.
         """
         n = self.n
         mul = self.mul
-        out = []
-        for g in self.reduced_generator_ids():
-            ig = self.inv(g)
-            out.append(tuple([mul(mul(ig, x), g) for x in range(n)]))
-        return tuple(out)
+        return tuple(tuple([mul(ig, x) for x in range(n)])
+                     for ig in map(self.inv, self.reduced_generator_ids()))
+
+    @memo
+    def conjugation_tables(self) -> tuple[tuple[int, ...], ...]:
+        """For each reduced generator g, the table x -> g^-1 x g over all ids,
+        read as (g^-1 x) g off g's translation table.
+
+        Costs 2n products per generator with the translation tables, once
+        per group.
+        """
+        mul = self.mul
+        return tuple(tuple([mul(y, g) for y in t])
+                     for t, g in zip(self.translation_tables(), self.reduced_generator_ids()))
 
     @memo
     def left_cosets(self, right: frozenset) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Number the left cosets g*right of a subgroup's id-set in scan order.
 
         Returns (labels, reps): labels[x] is the number of the coset holding
-        x, and reps[c] is the first id of coset c, so the identity's coset
-        is 0.  Costs n products, once per group and id-set.
+        x, and reps[c] is the least id of coset c, with cosets numbered by
+        their least ids, so the identity's coset is 0.
+
+        Left translation by g^-1 maps the coset x*right onto the coset
+        (g^-1 x)*right, and the reduced generators generate G, so the
+        cosets are the orbit of `right` under the translation tables: an
+        image is a new coset when its first member is unlabelled (Holt,
+        Eick & O'Brien, Handbook of Computational Group Theory, 2005, §4).
+        Costs one lookup per id and one per coset and table, and no
+        products once the translation tables exist; once per group and
+        id-set.
         """
-        n = self.n
-        mul = self.mul
-        labels = [-1] * n
-        reps: list[int] = []
-        for g in range(n):
-            if labels[g] < 0:
-                c = len(reps)
-                for m in right:
-                    labels[mul(g, m)] = c
-                reps.append(g)
-        return tuple(labels), tuple(reps)
+        labels = [-1] * self.n
+        cosets = [list(right)]
+        for m in right:
+            labels[m] = 0
+        tables = self.translation_tables()
+        for coset in cosets:  # grows while it is walked
+            for t in tables:
+                if labels[t[coset[0]]] < 0:
+                    c = len(cosets)
+                    image = [t[y] for y in coset]
+                    for y in image:
+                        labels[y] = c
+                    cosets.append(image)
+        cosets.sort(key=min)
+        number = [0] * len(cosets)
+        for k, coset in enumerate(cosets):
+            number[labels[coset[0]]] = k
+        return tuple(map(number.__getitem__, labels)), tuple(map(min, cosets))
 
     @memo
     def coset_conjugation_tables(self, normal: frozenset) -> tuple[tuple[int, ...], ...]:
@@ -351,8 +380,9 @@ def product_ids(G: FiniteGroup, left, right: frozenset) -> frozenset:
 
     The result is the union of the left cosets a*right for a in left: one
     scan of the coset numbering of right (`G.left_cosets`, n entries stored
-    per group and distinct right) and no products.  Every caller in the
-    package passes a normal subgroup as right.
+    per group and distinct right, walked over the translation tables) and
+    no products.  Every caller in the package passes a normal subgroup as
+    right.
     """
     labels = G.left_cosets(right)[0]
     want = set(map(labels.__getitem__, left))
@@ -510,8 +540,16 @@ class PermGroup(FiniteGroup):
         self._inv_arr: list[int] = []
 
     def order(self) -> int:
+        """|G| from a stabilizer chain; a group past `max_elements` is refused
+        as soon as a lower bound on its order passes the ceiling."""
         if self._order is None:
-            self._order = bsgs.group_order([g.images for g in self._given]) if self._given else 1
+            ceiling = self.limits.max_elements
+            got = bsgs.group_order([g.images for g in self._given], ceiling)
+            if got > ceiling:
+                raise LimitExceeded(
+                    f"group of order at least {got} exceeds the element ceiling {ceiling}"
+                )
+            self._order = got
         return self._order
 
     def _build(self) -> None:

@@ -7,6 +7,8 @@ and element scans.
 
 from __future__ import annotations
 
+import functools
+
 from .arith import factorize
 from .groups import FiniteGroup, Subgroup, closure_ids
 
@@ -59,7 +61,7 @@ def centre(G: FiniteGroup) -> Subgroup:
 def normal_closure(G: FiniteGroup, seed_ids, by=None) -> Subgroup:
     """Smallest subgroup containing the seeds and closed under conjugation
     by the elements of `by` (default: G's reduced generators, giving the
-    normal closure in G).
+    normal closure in G, with conjugates read off `G.conjugation_tables()`).
 
     With `by` the generators of a subgroup K that contains the seeds, the
     result is the normal closure of the seeds in K.  Seeds, then the
@@ -67,7 +69,10 @@ def normal_closure(G: FiniteGroup, seed_ids, by=None) -> Subgroup:
     only when they lie outside the current closure, which each one then
     extends by cosets of the closure so far.
     """
-    gens = G.reduced_generator_ids() if by is None else list(by)
+    if by is None:
+        conjugates = [t.__getitem__ for t in G.conjugation_tables()]
+    else:
+        conjugates = [functools.partial(G.conj, g=g) for g in by]
     hgens: list[int] = []
     H = frozenset((0,))
     todo = list(seed_ids)
@@ -75,7 +80,7 @@ def normal_closure(G: FiniteGroup, seed_ids, by=None) -> Subgroup:
         if x not in H:
             hgens.append(x)
             H = closure_ids(G, hgens, prior=H)
-            todo.extend(G.conj(x, g) for g in gens)
+            todo.extend(f(x) for f in conjugates)
     return Subgroup(G, H, gens=hgens)
 
 

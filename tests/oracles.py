@@ -324,17 +324,25 @@ def witness_through(G: FiniteGroup, H: Subgroup, N: Subgroup, chains=None):
     return None
 
 
-def brute_quotient(G: FiniteGroup, n_ids) -> tuple[TableGroup, list[int]]:
+def left_cosets_by_scan(G: FiniteGroup, right) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The left cosets g*right of a subgroup's id-set, numbered by a scan of
+    G in id order: each id not yet labelled starts a coset, labelled by
+    |right| products.  Returns (labels, reps) as `G.left_cosets` does."""
+    labels = [-1] * G.n
+    reps: list[int] = []
+    for g in range(G.n):
+        if labels[g] < 0:
+            for m in right:
+                labels[G.mul(g, m)] = len(reps)
+            reps.append(g)
+    return tuple(labels), tuple(reps)
+
+
+def brute_quotient(G: FiniteGroup, n_ids) -> tuple[TableGroup, tuple[int, ...]]:
     """G/N over coset representatives: cosets found by scanning G in id
     order, products taken through the representatives.  Also returns each
     element's coset number, which is its image's id in the quotient."""
-    coset = [-1] * G.n
-    reps: list[int] = []
-    for g in range(G.n):
-        if coset[g] < 0:
-            for m in n_ids:
-                coset[G.mul(g, m)] = len(reps)
-            reps.append(g)
+    coset, reps = left_cosets_by_scan(G, n_ids)
 
     Q = TableGroup(
         len(reps),

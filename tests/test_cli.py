@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -180,6 +181,53 @@ def test_prime_above_the_element_ceiling_exits_2_at_once(capsys):
     for argv in (("check", "--group", "S4", "--prime", "7", "--subgroup", "family:sylow"),
                  ("theorem", "--id", "t13", "--group", "S4", "--prime", "7")):
         assert run(capsys, *argv)[0] == 0
+
+
+def _gf125_description():
+    # x -> x + 1, x -> ax with a of order 31, and x -> x^3 on GF(125), built
+    # as GF(5)[t]/(t^3 + t + 1) (the cubic has no root mod 5), the element
+    # c0 + c1 t + c2 t^2 numbered c0 + 5 c1 + 25 c2.  They generate a group
+    # far past the element ceiling.
+    def times(x, y):
+        a, b = [x // 5**i % 5 for i in range(3)], [y // 5**i % 5 for i in range(3)]
+        c = [sum(a[i] * b[k - i] for i in range(3) if 0 <= k - i < 3) for k in range(5)]
+        for k in (4, 3):  # t^3 = -t - 1
+            c[k - 2] -= c[k]
+            c[k - 3] -= c[k]
+        return sum(c[i] % 5 * 5**i for i in range(3))
+
+    def power(x, k):
+        out = 1
+        for _ in range(k):
+            out = times(out, x)
+        return out
+
+    a = next(x for x in range(2, 125) if power(x, 31) == 1)
+    maps = [[x - x % 5 + (x + 1) % 5 for x in range(125)],
+            [times(a, x) for x in range(125)],
+            [power(x, 3) for x in range(125)]]
+    gens = [[list(c) for c in Perm(images).cycles()] for images in maps]
+    return json.dumps({"type": "perm", "degree": 125, "generators": gens})
+
+
+def test_order_past_the_element_ceiling_exits_2_in_time(capsys):
+    # The stabilizer chain stops once the orbit lengths found so far pass
+    # the ceiling, where the full chain ran past 12 s; the bound it reports
+    # is a lower bound, never cached as the order.
+    desc = _gf125_description()
+
+    def expire(signum, frame):
+        raise TimeoutError("refusing the order took over two seconds")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        code, out, err = run(capsys, "info", desc)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2 and out == ""
+    assert "order at least" in err and "exceeds the element ceiling 1000000" in err
 
 
 def test_theorem_normal_restriction(capsys):

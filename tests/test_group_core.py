@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from gpi import groups
+from gpi import bsgs, groups
+from gpi.arith import factorize
 from gpi.catalog import build_group, from_description, group_names
 from gpi.groups import (
     Limits,
@@ -16,6 +17,7 @@ from gpi.groups import (
     closure_ids,
     hom_defect,
     hom_from_generators,
+    is_normal,
     product_ids,
     quotient,
     semidirect_product,
@@ -31,7 +33,7 @@ from gpi.sylow import (
     sylow_subgroup,
 )
 
-from affine import affine_description
+from affine import AFFINE, affine_description, affine_group
 from oracles import (
     brute_center,
     brute_closure,
@@ -39,6 +41,7 @@ from oracles import (
     brute_order_histogram,
     brute_span,
     brute_two_group_shape,
+    left_cosets_by_scan,
 )
 
 cyc = Perm.from_cycles
@@ -325,6 +328,48 @@ def test_product_ids_matches_brute_products():
     assert product_ids(big, left, M.ids) == {big.mul(a, b) for a in left for b in M.ids}
 
 
+def _coset_probes(G):
+    # Every normal subgroup, a Sylow subgroup and some cyclic subgroups,
+    # most of them not normal.
+    reps = G.conjugacy_class_reps()
+    probes = [N.ids for N in normal_subgroups(G)]
+    probes += [sylow_subgroup(G, p).ids for p in factorize(G.n)]
+    probes += [G.generated([r]).ids for r in reps[1::max(1, len(reps) // 6)]]
+    return probes
+
+
+def test_left_cosets_equal_the_scan_reference():
+    # The walk over translation tables numbers the cosets as a scan of G's
+    # ids with n products does, for normal and non-normal subgroups alike.
+    rerooted, _ = normal_subgroups(build_group("S5"))[1].as_group()  # A5
+    for G in (s4(), build_group("5^4:3"), rerooted, affine_group("AGL(2,3)")):
+        probes = _coset_probes(G)
+        assert any(not is_normal(G, Subgroup(G, ids)) for ids in probes)
+        for ids in probes:
+            assert G.left_cosets(ids) == left_cosets_by_scan(G, ids), len(ids)
+
+
+def test_left_cosets_take_no_products(monkeypatch):
+    # The translation tables are the first n products per reduced generator
+    # of the conjugation tables, which still take 2n; after them a new
+    # id-set is labelled by lookups alone.
+    G = build_group("5^4:3", fresh=True)
+    gens = G.reduced_generator_ids()
+    calls = []
+    mul = G.mul
+    monkeypatch.setattr(G, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    G.conjugation_tables()
+    assert len(calls) == 2 * G.n * len(gens)
+    probes = _coset_probes(G)
+    labelled = G.memo.get("FiniteGroup.left_cosets", {})
+    assert any((ids,) not in labelled for ids in probes)
+    calls.clear()
+    for ids in probes:
+        G.left_cosets(ids)
+        product_ids(G, [1, 2, 3], ids)
+    assert calls == []
+
+
 def test_quotient_numbering_equals_a_right_coset_scan():
     for G in (s4(), build_group("5^4:3")):
         for N in normal_subgroups(G):
@@ -428,6 +473,37 @@ def test_affine_groups_have_their_orders(p, agl):
         G = from_description(affine_description(p, general))
         assert G.order() == want
         assert G._n is None
+
+
+# Orders from the names: S_n, A_n, cyclic and elementary abelian groups,
+# the groups of order 8 and 16, SL(2,q) = q(q^2 - 1), GL(2,3) = 48, and
+# the affine groups p^2 |SL(2,p)| and p^2 |GL(2,p)|.
+PINNED_ORDERS = {
+    "S3": 6, "S4": 24, "S5": 120, "S6": 720, "A4": 12, "A5": 60, "C2": 2, "C3": 3,
+    "C4": 4, "C5": 5, "C8": 8, "C9": 9, "C12": 12, "C2^2": 4, "C2^3": 8, "C2^4": 16,
+    "C3^2": 9, "C5^2": 25, "C4xC2": 8, "D8": 8, "D16": 16, "Q8": 8, "Q16": 16,
+    "SD16": 16, "M16": 16, "C2xD8": 16, "SL(2,3)": 24, "GL(2,3)": 48, "SL(2,5)": 120,
+    "5^4:3": 1875, "ASL(2,3)": 216, "AGL(2,3)": 432, "AGL(2,5)": 12_000,
+}
+
+
+@pytest.mark.parametrize("name", [*group_names(), *AFFINE])
+def test_orders_agree_with_enumeration_up_to_the_ceiling(name):
+    # The stabilizer chain's order is the enumerated one and the pinned one.
+    # A ceiling one below it gets a lower bound above the ceiling, and a
+    # handle with that ceiling is refused before it enumerates anything.
+    G = affine_group(name) if name in AFFINE else build_group(name)
+    assert G.order() == G.n == PINNED_ORDERS[name]
+    if not isinstance(G, PermGroup):
+        return
+    gens = [G.perm(g).images for g in G.generator_ids]
+    assert bsgs.group_order(gens) == bsgs.group_order(gens, G.n) == G.n
+    if G.n > 1:
+        assert G.n - 1 < bsgs.group_order(gens, G.n - 1) <= G.n
+        tight = PermGroup(map(G.perm, G.generator_ids), limits=Limits(max_elements=G.n - 1))
+        with pytest.raises(LimitExceeded, match="order at least"):
+            tight.materialize()
+        assert tight._order is None and tight._n is None
 
 
 def test_table_group_validation():

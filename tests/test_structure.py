@@ -1,6 +1,7 @@
 import pytest
 
-from gpi.catalog import build_group
+from gpi.arith import factorize
+from gpi.catalog import build_group, group_names
 from gpi.groups import Subgroup, closure_ids
 from gpi.perm import Perm
 from gpi.series import minimal_normal_overgroups
@@ -138,3 +139,22 @@ def test_element_power(s4):
 def test_closure_respects_trivial_seeds(s4):
     assert closure_ids(s4, []) == frozenset({0})
     assert closure_ids(s4, [0]) == frozenset({0})
+
+
+@pytest.mark.parametrize("name", group_names())
+def test_p_residual_matches_a_conjugation_by_products_reference(name):
+    # normal_closure reads each conjugate off G's conjugation tables; the
+    # reference takes g^-1 x g with two products per reduced generator, in
+    # the same order, and gets the same ids and the same generators.
+    G = build_group(name)
+    gens = G.reduced_generator_ids()
+    for p in factorize(G.n):
+        hgens, H = [], frozenset((0,))
+        todo = [a for a in range(G.n) if G.element_order(a) % p]
+        for x in todo:
+            if x not in H:
+                hgens.append(x)
+                H = closure_ids(G, hgens, prior=H)
+                todo.extend(G.conj(x, g) for g in gens)
+        R = p_residual(G, p)
+        assert (R.ids, R.gens) == (H, hgens), p
