@@ -1,9 +1,10 @@
 """Named builders for the benchmark groups.
 
 Permutation entries are written as cycle tuples; the table-backed entries
-carry formulas on ids (Q16 a product rule, 5^4:3 an addition table built
-digit by digit in base 5).  Built groups are cached per name, since every
-handle memoises its own lattice work; pass fresh=True to rebuild from scratch.
+carry formulas on ids (Q16 a product rule, 5^4:3 vector addition on ids
+packed in base 9, decoded by a 6,561-entry array).  Built groups are
+cached per name, since every handle memoises its own lattice work; pass
+fresh=True to rebuild from scratch.
 """
 
 from __future__ import annotations
@@ -92,20 +93,22 @@ def _big_example():
     its minimal normal subgroups come in a large family; the whole group has
     elements of orders 1, 3 and 5 only.
 
-    Ids number the vectors of F5^4 in base 5, so the addition table is built
-    digit by digit from Z5's: the pair (t, s) in F5^(k-1) x Z5 has id 5t + s.
+    Ids number the vectors of F5^4 in base 5.  Vectors are added packed in
+    base 9: each digit of a sum of two packed vectors is at most 8, so no
+    digit carries, and a 6,561-entry array decodes each packed sum to the
+    id of its digits mod 5.  No addition table is built.
     """
     base = list(itertools.product(range(5), repeat=4))
     idx = {v: i for i, v in enumerate(base)}
-    z5 = [[(a + b) % 5 for b in range(5)] for a in range(5)]
-    sums = z5
-    for _ in range(2):  # F5^2, then F5^3
-        sums = [[5 * x + y for x in row for y in zrow] for row in sums for zrow in z5]
-    table = array("H", (5 * x + y for row in sums for zrow in z5 for x in row for y in zrow))
+    pack = [((v0 * 9 + v1) * 9 + v2) * 9 + v3 for v0, v1, v2, v3 in base]
+    decode = [d % 5 for d in range(9)]  # over 9, then 81, 729 and 6561 packed sums
+    for _ in range(3):
+        decode = [5 * x + d % 5 for x in decode for d in range(9)]
+    decode = array("H", decode)
     neg = [idx[(-v0 % 5, -v1 % 5, -v2 % 5, -v3 % 5)] for v0, v1, v2, v3 in base]
     gens = [idx[(1, 0, 0, 0)], idx[(0, 1, 0, 0)], idx[(0, 0, 1, 0)], idx[(0, 0, 0, 1)]]
     labels = [str(v) for v in base]
-    N = TableGroup(625, lambda a, b: table[a * 625 + b], neg.__getitem__, gens=gens,
+    N = TableGroup(625, lambda a, b: decode[pack[a] + pack[b]], neg.__getitem__, gens=gens,
                    label_fn=labels.__getitem__, name="C5^4")
     C3 = TableGroup(3, lambda a, b: (a + b) % 3, lambda a: -a % 3, gens=[1],
                     label_fn=("e", "t", "t2").__getitem__, name="C3")

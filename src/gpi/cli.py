@@ -5,7 +5,8 @@ chief-series property for chosen subgroups, `theorem` runs one theorem
 checker over one group, and `corpus` sweeps every checker over the
 built-in catalogue.  Exit codes: 0 success, 1 a refusal or theorem
 violation was found, 2 usage or resource errors, or an output pipe
-closed by its reader.
+closed by its reader, 3 an internal error (any other exception, reported
+on one line without a traceback).
 
 Groups are given either as a catalogue name (`S4`) or as a JSON object:
 {"type": "catalog", "name": ...}, {"type": "perm", "degree": n,
@@ -357,6 +358,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the engine, never a refusal
+        msg = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {msg}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,24 +11,29 @@ and a subgroup is a canonical frozen set of ids.  All structural algorithms
 in the package are written once against that face.
 
 The orbit kernels read id tables built once per group and kept in `G.memo`,
-not products of single elements:
+not products of single elements.  Only the first is made of products;
+the others are lookups into it:
 
+- `right_tables`: one table x -> x g per reduced generator g, n ids each,
+  at n products per generator; a `PermGroup` reads them off its
+  enumeration, which already multiplied every id by every generator, at
+  no products;
 - `translation_tables`: one table x -> g^-1 x per reduced generator g,
-  n ids each, at n products per generator;
+  read as (x^-1 g)^-1 off the right tables and the inverses;
 - `conjugation_tables`: one table x -> g^-1 x g per reduced generator g,
-  n ids each, read as (g^-1 x) g off the translation tables at n more
-  products per generator;
+  read as (g^-1 x) g off the two above;
 - `class_labels`: the class number of each id, n labels, recorded by the
   class BFS that `conjugacy_class_reps` runs over the conjugation tables;
+  element orders are a class function, read off one power walk per class;
 - `left_cosets`: one left-coset numbering per subgroup id-set a product,
   quotient or factor check is taken by, n labels and one representative
-  per coset, walked over the translation tables at n lookups and no
-  products;
+  per coset, walked over the translation tables at n lookups;
 - `coset_conjugation_tables`: for a normal subgroup K, one table per
   reduced generator over the |G:K| coset numbers, read off the two above.
 
-Each table is a tuple, so callers cannot change what the memo holds.  No
-Cayley table is built.
+So a `PermGroup` makes no products for its tables and classes, and a
+`TableGroup` n per reduced generator.  Each table is a tuple, so callers
+cannot change what the memo holds.  No Cayley table is built.
 """
 
 from __future__ import annotations
@@ -109,9 +114,10 @@ class FiniteGroup:
     """Common face of the two backends, `PermGroup` and `TableGroup`.
 
     Subclasses fill in `order`, `_build`, `mul`, `inv` and `label` (a
-    `TableGroup` sets `mul` and `inv` on the instance);
-    everything else (element orders, conjugacy class representatives,
-    generator reduction, subgroup constructors) is shared.
+    `TableGroup` sets `mul` and `inv` on the instance), and may read
+    `right_tables` and `_generates` off tables they already hold, as a
+    `PermGroup` does; everything else (element orders, conjugacy class
+    representatives, generator reduction, subgroup constructors) is shared.
     """
 
     def __init__(self, limits: Limits | None = None, name: str = ""):
@@ -120,7 +126,7 @@ class FiniteGroup:
         self.memo: dict[str, dict] = {}
         self._n: int | None = None
         self._gen_ids: list[int] | None = None
-        self._orders: dict[int, int] = {}
+        self._orders: tuple[int, ...] | None = None
 
     # -- subclass contract -------------------------------------------------
 
@@ -173,18 +179,28 @@ class FiniteGroup:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
     def element_order(self, a: int) -> int:
-        """The order m of a, found by walking its powers; each power a^j
-        walked is recorded too, with order m / gcd(j, m)."""
-        got = self._orders.get(a)
-        if got is None:
+        """The order of a, read off a tuple over all ids.
+
+        Order is a class function, so the tuple takes one power walk per
+        class: walking the powers x^j of a representative x of order m also
+        gives the class of each x^j its order m / gcd(j, m), and a class met
+        that way is not walked again.
+        """
+        if self._orders is None:
+            reps, labels = self.conjugacy_class_reps(), self.class_labels()
             mul = self.mul
-            powers = [a]
-            while powers[-1] != 0:
-                powers.append(mul(powers[-1], a))
-            got = len(powers)
-            for j, x in enumerate(powers, 1):
-                self._orders[x] = got // gcd(j, got)
-        return got
+            of = [0] * len(reps)
+            for c, x in enumerate(reps):
+                if of[c]:
+                    continue
+                powers = [x]
+                while powers[-1] != 0:
+                    powers.append(mul(powers[-1], x))
+                m = len(powers)
+                for j, y in enumerate(powers, 1):
+                    of[labels[y]] = m // gcd(j, m)
+            self._orders = tuple(map(of.__getitem__, labels))
+        return self._orders[a]
 
     @memo
     def reduced_generator_ids(self) -> list[int]:
@@ -194,32 +210,44 @@ class FiniteGroup:
             if len(keep) == 1:
                 break
             rest = [h for h in keep if h != g]
-            if len(closure_ids(self, rest)) == self.n:
+            if self._generates(rest):
                 keep = rest
         return keep
 
+    def _generates(self, gens: list[int]) -> bool:
+        """Whether the ids `gens` generate the group."""
+        return len(closure_ids(self, gens)) == self.n
+
     @memo
-    def translation_tables(self) -> tuple[tuple[int, ...], ...]:
-        """For each reduced generator g, the table x -> g^-1 x over all ids.
+    def right_tables(self) -> tuple[tuple[int, ...], ...]:
+        """For each reduced generator g, the table x -> x g over all ids.
 
         Costs n products per generator, once per group.
         """
         n = self.n
         mul = self.mul
-        return tuple(tuple([mul(ig, x) for x in range(n)])
-                     for ig in map(self.inv, self.reduced_generator_ids()))
+        return tuple(tuple([mul(x, g) for x in range(n)]) for g in self.reduced_generator_ids())
+
+    @memo
+    def translation_tables(self) -> tuple[tuple[int, ...], ...]:
+        """For each reduced generator g, the table x -> g^-1 x over all ids,
+        read as (x^-1 g)^-1 off g's right table and the inverses.
+
+        Costs n inverses and n lookups per generator, once per group.
+        """
+        inv = tuple(map(self.inv, range(self.n)))
+        pick = itemgetter(*inv)  # one C call per table; n > 1 when a generator exists
+        return tuple(itemgetter(*pick(r))(inv) for r in self.right_tables())
 
     @memo
     def conjugation_tables(self) -> tuple[tuple[int, ...], ...]:
         """For each reduced generator g, the table x -> g^-1 x g over all ids,
-        read as (g^-1 x) g off g's translation table.
+        read as (g^-1 x) g off g's translation and right tables.
 
-        Costs 2n products per generator with the translation tables, once
-        per group.
+        Costs n lookups per generator, once per group.
         """
-        mul = self.mul
-        return tuple(tuple([mul(y, g) for y in t])
-                     for t, g in zip(self.translation_tables(), self.reduced_generator_ids()))
+        return tuple(itemgetter(*t)(r)
+                     for r, t in zip(self.right_tables(), self.translation_tables()))
 
     @memo
     def left_cosets(self, right: frozenset) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -236,8 +264,12 @@ class FiniteGroup:
         Eick & O'Brien, Handbook of Computational Group Theory, 2005, §4).
         Costs one lookup per id and one per coset and table, and no
         products once the translation tables exist; once per group and
-        id-set.
+        id-set.  The cosets of the trivial subgroup are the ids themselves,
+        so that numbering is returned without a walk.
         """
+        if len(right) == 1:
+            ids = tuple(range(self.n))
+            return ids, ids
         labels = [-1] * self.n
         cosets = [list(right)]
         for m in right:
@@ -538,6 +570,7 @@ class PermGroup(FiniteGroup):
         self._els: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
         self._inv_arr: list[int] = []
+        self._right: dict[int, tuple[int, ...]] = {}
 
     def order(self) -> int:
         """|G| from a stabilizer chain; a group past `max_elements` is refused
@@ -557,18 +590,18 @@ class PermGroup(FiniteGroup):
         els = [ident]
         ids = {ident: 0}
         gens = [g.images for g in self._given]
-        frontier = [ident] if gens else []  # itemgetter(*()) fails at degree 0
-        while frontier:
-            nxt = []
-            for a in frontier:
-                step = itemgetter(*a)
-                for g in gens:
-                    b = step(g)
-                    if b not in ids:
-                        ids[b] = len(els)
-                        els.append(b)
-                        nxt.append(b)
-            frontier = nxt
+        # Breadth first: ids are handed out in the order the walk meets the
+        # elements, and the walk takes them in id order, so each generator's
+        # row collects its right table.
+        rows: list[tuple[tuple[int, ...], list[int]]] = [(g, []) for g in gens]
+        for a in els if gens else ():  # grows while it is walked; itemgetter(*()) fails
+            step = itemgetter(*a)
+            for g, row in rows:
+                b = step(g)
+                got = ids.setdefault(b, len(els))
+                if got == len(els):
+                    els.append(b)
+                row.append(got)
         self._els = els
         self._ids = ids
         self._n = len(els)
@@ -585,6 +618,7 @@ class PermGroup(FiniteGroup):
             inv.append(ids[tuple(out)])
         self._inv_arr = inv
         self._gen_ids = [ids[g] for g in gens]
+        self._right = {ids[g]: tuple(row) for g, row in rows}
 
     def mul(self, a: int, b: int) -> int:
         # One C call: itemgetter(*a)(b) is the tuple (b[a[0]], b[a[1]], ...).
@@ -593,6 +627,27 @@ class PermGroup(FiniteGroup):
 
     def inv(self, a: int) -> int:
         return self._inv_arr[a]
+
+    def right_tables(self) -> tuple[tuple[int, ...], ...]:
+        """For each reduced generator g, the table x -> x g, read off the
+        enumeration: no products."""
+        gens = self.reduced_generator_ids()  # materialises first
+        return tuple(map(self._right.__getitem__, gens))
+
+    def _generates(self, gens: list[int]) -> bool:
+        """Whether the ids `gens` reach every id from the identity along
+        their right tables: lookups, no products."""
+        tables = [self._right[g] for g in gens]
+        seen = bytearray(self.n)
+        seen[0] = 1
+        walk = [0]
+        for x in walk:  # grows while it is walked
+            for t in tables:
+                y = t[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    walk.append(y)
+        return len(walk) == self.n
 
     def perm(self, a: int) -> Perm:
         self.materialize()

@@ -338,6 +338,18 @@ def left_cosets_by_scan(G: FiniteGroup, right) -> tuple[tuple[int, ...], tuple[i
     return tuple(labels), tuple(reps)
 
 
+def generator_tables_by_products(G: FiniteGroup):
+    """The right, translation and conjugation tables of G, one per reduced
+    generator g, taken product by product: x -> x g, x -> g^-1 x and
+    x -> g^-1 x g over all ids."""
+    gens = G.reduced_generator_ids()
+    ids = range(G.n)
+    right = tuple(tuple(G.mul(x, g) for x in ids) for g in gens)
+    translation = tuple(tuple(G.mul(G.inv(g), x) for x in ids) for g in gens)
+    conjugation = tuple(tuple(G.mul(G.mul(G.inv(g), x), g) for x in ids) for g in gens)
+    return right, translation, conjugation
+
+
 def brute_quotient(G: FiniteGroup, n_ids) -> tuple[TableGroup, tuple[int, ...]]:
     """G/N over coset representatives: cosets found by scanning G in id
     order, products taken through the representatives.  Also returns each

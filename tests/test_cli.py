@@ -154,6 +154,19 @@ def test_theorem_violation_exit(capsys, monkeypatch):
     assert "VIOLATED" in out
 
 
+@pytest.mark.parametrize("exc", [RuntimeError("stalled\nfor good"), MemoryError(), AssertionError()])
+def test_internal_errors_exit_3_on_one_line(capsys, monkeypatch, exc):
+    # Exit 1 is kept for refusals and violations, 2 for usage and resources.
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(importlib.import_module("gpi.cli"), "_cmd_info", broken)
+    code, out, err = run(capsys, "info", "S4")
+    assert code == 3 and out == ""
+    assert err.startswith(f"internal error: {type(exc).__name__}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_theorem_usage_errors(capsys):
     code, _, err = run(
         capsys, "theorem", "--id", "l28", "--group", "S4", "--normal", "[1]"

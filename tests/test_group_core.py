@@ -41,6 +41,7 @@ from oracles import (
     brute_order_histogram,
     brute_span,
     brute_two_group_shape,
+    generator_tables_by_products,
     left_cosets_by_scan,
 )
 
@@ -75,6 +76,11 @@ def m16():
     r = cyc(8, [(0, 1, 2, 3, 4, 5, 6, 7)])
     s = cyc(8, [(1, 5), (3, 7)])
     return PermGroup([r, s], name="M16")
+
+
+def _s7():
+    return from_description({"type": "perm", "degree": 7,
+                             "generators": [[list(range(7))], [[0, 1]]]})
 
 
 def cn_table(m):
@@ -226,10 +232,10 @@ def test_element_orders_and_exponent():
     assert cn_table(6).is_abelian()
 
 
-@pytest.mark.parametrize("name", ["S7", "5^4:3", "Q16"])
+@pytest.mark.parametrize("name", ["S7", *group_names(), "ASL(2,3)", "AGL(2,3)"])
 def test_element_orders_filled_by_power_walks_match_brute_orders(name):
-    # Orders asked in id order, then in reverse on a second handle, so that
-    # most are read from an earlier walk; each against its own power loop.
+    # Orders are read off one power walk per class; asked in id order, then
+    # in reverse on a second handle, each against its own power loop.
     def brute_order(G, a):
         k, x = 1, a
         while x != 0:
@@ -238,8 +244,9 @@ def test_element_orders_filled_by_power_walks_match_brute_orders(name):
 
     for ids in (range, lambda n: range(n - 1, -1, -1)):
         if name == "S7":
-            G = from_description({"type": "perm", "degree": 7,
-                                  "generators": [[list(range(7))], [[0, 1]]]})
+            G = _s7()
+        elif name in AFFINE:
+            G = from_description(affine_description(*AFFINE[name]))
         else:
             G = build_group(name, fresh=True)
         got = {a: G.element_order(a) for a in ids(G.n)}
@@ -287,14 +294,31 @@ def test_closure_grows_by_cosets_like_the_brute_span(name):
 
 
 def test_conjugation_tables_match_conj():
-    # A permutation group, 5^4:3 on ids, and a re-rooted (translated) subgroup.
+    # Permutation groups, 5^4:3 on ids and a re-rooted (translated) subgroup.
+    # The right tables come off the enumeration or from products; the
+    # translation and conjugation tables are lookups into them.
     rerooted, _ = sylow_subgroup(s4(), 2).as_group()
-    for G in (s4(), build_group("5^4:3"), rerooted):
-        tables = G.conjugation_tables()
-        gens = G.reduced_generator_ids()
-        assert len(tables) == len(gens)
-        for t, g in zip(tables, gens):
+    for G in (s4(), _s7(), build_group("5^4:3"), rerooted, affine_group("AGL(2,3)")):
+        want = generator_tables_by_products(G)
+        assert (G.right_tables(), G.translation_tables(), G.conjugation_tables()) == want
+        assert len(want[0]) == len(G.reduced_generator_ids()) > 0
+        for t, g in zip(G.conjugation_tables(), G.reduced_generator_ids()):
             assert list(t) == [G.conj(x, g) for x in range(G.n)]
+
+
+def test_permutation_groups_make_no_products_for_tables_and_classes(monkeypatch):
+    # The enumeration multiplied every id by every generator already; the
+    # reduction, the tables, the classes and the coset numberings read it.
+    for G in (_s7(), from_description(affine_description(3, True))):
+        G.materialize()
+        cyclic = G.generated(G.generator_ids[:1]).ids
+        monkeypatch.setattr(G, "mul", lambda a, b: pytest.fail("a product was taken"))
+        G.reduced_generator_ids()
+        G.right_tables()
+        G.conjugation_tables()
+        reps = G.conjugacy_class_reps()
+        assert len(set(G.class_labels())) == len(reps)
+        G.left_cosets(cyclic)
 
 
 def test_coset_conjugation_tables_match_conj():
@@ -345,21 +369,22 @@ def test_left_cosets_equal_the_scan_reference():
     for G in (s4(), build_group("5^4:3"), rerooted, affine_group("AGL(2,3)")):
         probes = _coset_probes(G)
         assert any(not is_normal(G, Subgroup(G, ids)) for ids in probes)
+        assert frozenset((0,)) in probes  # numbered without a walk
         for ids in probes:
             assert G.left_cosets(ids) == left_cosets_by_scan(G, ids), len(ids)
 
 
 def test_left_cosets_take_no_products(monkeypatch):
-    # The translation tables are the first n products per reduced generator
-    # of the conjugation tables, which still take 2n; after them a new
-    # id-set is labelled by lookups alone.
+    # A table group's right tables take n products per reduced generator;
+    # the translation and conjugation tables are read off them, and after
+    # them a new id-set is labelled by lookups alone.
     G = build_group("5^4:3", fresh=True)
     gens = G.reduced_generator_ids()
     calls = []
     mul = G.mul
     monkeypatch.setattr(G, "mul", lambda a, b: calls.append(1) or mul(a, b))
     G.conjugation_tables()
-    assert len(calls) == 2 * G.n * len(gens)
+    assert len(calls) == G.n * len(gens)
     probes = _coset_probes(G)
     labelled = G.memo.get("FiniteGroup.left_cosets", {})
     assert any((ids,) not in labelled for ids in probes)
