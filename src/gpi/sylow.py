@@ -4,21 +4,25 @@ The Sylow subgroup, the subgroup families and the quaternion-section test
 are computed on the ambient group's ids, with no subgroup re-rooted and no
 quotient group formed.
 
-The maximal and second maximal subgroups of a p-group P are built from
-Frattini-coset codes.  A Burnside basis (generators independent modulo
-Phi(P)) gives each x in P its coordinates v in P/Phi(P) = GF(p)^d, stored
-as the integer code sum v_k p^k, and P's ids are grouped by code once.  A
-subgroup that contains Phi(P) is then a union of those cosets, picked out
-by the zero codes of one or two functionals.  A subgroup of index p*p that
-does not contain Phi(P) lies in exactly one maximal subgroup M, namely
-H*Phi(P), and is found there from M's own codes.  Every member is built
-once.  A Q8 section is found from a pair of its generators' preimages and
-the relators of Q8.
+The families of a p-group P are built from Frattini-coset codes.  A
+Burnside basis (generators independent modulo Phi(P)) gives each x in P its
+coordinates v in P/Phi(P) = GF(p)^d, stored as the integer code
+sum v_k p^k, and P's ids are grouped by code once.  A subgroup of index p^m
+that contains Phi(P) is a union of those cosets, picked out by the zero
+codes of a codimension-m subspace; one enumerator lists each such subspace
+once, and each family is built once per P and m: the maximal subgroups
+(m = 1), the second maximal ones that contain Phi(P) (m = 2) and, when P is
+elementary abelian, the subgroups of order p*p (m = d - 2).  A subgroup of
+index p*p that does not contain Phi(P) lies in exactly one maximal subgroup
+M, namely H*Phi(P), and is found there from M's own codes.  A Q8 section is
+found from a pair of its generators' preimages and the relators of Q8.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from functools import cache, reduce
+from itertools import chain, combinations, product
+from operator import add, and_
 
 from .arith import factorize, p_part
 from .groups import FiniteGroup, LimitExceeded, Subgroup, closure_ids, memo
@@ -52,7 +56,9 @@ def _grown_sylow(G: FiniteGroup, p: int, within: Subgroup | None) -> Subgroup:
     """Grown one generator at a time: while P is not yet a full Sylow
     p-subgroup, its normalizer in `within` contains an element whose
     p-part lies outside P, and adjoining that p-part keeps the closure
-    a p-group.  The scan is in id order, so the result is deterministic.
+    a p-group.  The scan is in id order, so the result is deterministic;
+    an element's order (a lookup) is tested before its conjugation of the
+    generators so far (products).
     """
     if within is None:
         within = G.full_subgroup()
@@ -63,15 +69,12 @@ def _grown_sylow(G: FiniteGroup, p: int, within: Subgroup | None) -> Subgroup:
     while len(cur) < target:
         grew = False
         for y in scan:
-            if y in cur:
+            o = G.element_order(y)
+            if o % p or y in cur:
                 continue
             if pgens and any(G.conj(m, y) not in cur for m in pgens):
                 continue
-            o = G.element_order(y)
-            op = p_part(o, p)
-            if op == 1:
-                continue
-            y = element_power(G, y, o // op)
+            y = element_power(G, y, o // p_part(o, p))
             if y in cur:
                 continue
             pgens.append(y)
@@ -85,47 +88,63 @@ def _grown_sylow(G: FiniteGroup, p: int, within: Subgroup | None) -> Subgroup:
 
 def cyclic_subgroups_of_order(X, k: int) -> list[Subgroup]:
     """All cyclic subgroups of order k, for X a group or a Subgroup, each
-    generated by its least id.
+    generated by its least id (read off `_cyclic_subgroups`)."""
+    return list(_cyclic_subgroups(X).get(k, ()))
 
-    The scan is in id order; an element of order k that lies in a subgroup
-    found earlier generates that subgroup, so it is skipped, and each new
-    subgroup is listed by successive powers of its first element.
+
+@memo
+def _cyclic_subgroups(X) -> dict[int, list[Subgroup]]:
+    """Every cyclic subgroup of X by order, each list sorted by `sorted_ids`.
+
+    One scan in id order: an element whose cyclic subgroup was listed
+    earlier generates it, so it is skipped; a new subgroup is listed by
+    successive powers of its first element, and its generators (its
+    elements of its order, read off the element-order tuple) are marked.
     """
     G, sub = _ambient(X)
-    found: set[int] = set()
-    out: list[Subgroup] = []
+    order = G.element_order
+    seen: set[int] = set()
+    out: dict[int, list[Subgroup]] = {}
     for x in sorted(sub.ids):
-        if x in found or G.element_order(x) != k:
+        if x in seen:
             continue
         ids = [0, x]
         y = G.mul(x, x)
         while y:
             ids.append(y)
             y = G.mul(y, x)
-        found.update(ids)
-        out.append(Subgroup(G, ids, gens=[x]))
-    out.sort(key=lambda s: s.sorted_ids)
+        k = order(x)
+        seen.update(y for y in ids if order(y) == k)
+        out.setdefault(k, []).append(Subgroup(G, ids, gens=[x]))
+    for subs in out.values():
+        subs.sort(key=lambda s: s.sorted_ids)
     return out
 
 
 @memo
 def two_minimal_subgroups(X, p: int) -> list[Subgroup]:
-    """The subgroups of order p*p of X: cyclic ones from elements of
-    order p*p, elementary ones from commuting pairs of order-p lines.
+    """The subgroups of order p*p of X.
 
-    Each elementary plane is built once, from the first pair A, B of its
-    p + 1 lines, as A, B and the (p - 1)^2 products xy with x in A and y
-    in B both nontrivial; a later pair is skipped when its second line
-    already lies in a plane built through the first.  Coverage is kept as
-    line numbers, p + 1 per plane.
+    In an elementary abelian p-group P = GF(p)^d they are the subspaces of
+    codimension d - 2 (`_frattini_family`); a plane's generators, found on
+    first use, are its least nonzero id and the least id outside its line.
+    Otherwise: cyclic ones from elements of order p*p, elementary ones
+    from commuting pairs of order-p lines.  Each plane is built once, from
+    the first pair A, B of its p + 1 lines, as A, B and the (p - 1)^2
+    products xy with x in A and y in B both nontrivial; a later pair is
+    skipped when its second line lies in a plane built through the first.
     """
     G, sub = _ambient(X)
+    if factorize(sub.order).keys() == {p}:
+        _, d, cosets = _frattini_cosets(sub)
+        if len(cosets[0]) == 1:
+            return _frattini_family(sub, d - 2) if d > 1 else []
     out = cyclic_subgroups_of_order(sub, p * p)
     lines = cyclic_subgroups_of_order(sub, p)
     gens = [L.gens[0] for L in lines]
     rest = [[x for x in L.ids if x] for L in lines]  # each line without 1
     line_of = {x: i for i, xs in enumerate(rest) for x in xs}
-    covered: list[set[int]] = [set() for _ in lines]  # lines of planes built through each line
+    covered: list[set[int]] = [set() for _ in lines]  # line numbers of planes through each
     for i, j in combinations(range(len(lines)), 2):
         a, b = gens[i], gens[j]
         if j in covered[i] or G.mul(a, b) != G.mul(b, a):
@@ -173,48 +192,70 @@ def _frattini_cosets(sub: Subgroup) -> tuple[int, int, tuple[tuple[int, ...], ..
     return p, d, tuple(map(tuple, cosets))
 
 
-def _zeros(f, p: int) -> frozenset[int]:
-    """The codes of the v in GF(p)^len(f) with f.v = 0 mod p.
+def _subspaces(d: int, p: int, m: int):
+    """The zero codes of each subspace of codimension m in GF(p)^d, once each.
 
-    The values come from a digit recurrence: the codes below p^(k+1) are
-    those below p^k with digit k set to 0, then 1, ..., then p - 1.
+    A subspace is the common kernel of exactly one m-row matrix in reduced
+    row echelon form: pivots i_1 < ... < i_m, row t 0 before i_t, 1 at i_t,
+    0 at the other pivots and free elsewhere; so there are [d m]_p of them.
+    A row's kernel is listed directly: every digit but the pivot's is
+    free, and the pivot digit is solved for, p^(d-1) codes.  A row recurs
+    across matrices, so each is listed once per call.
     """
-    vals = [0]
-    for fk in f:
-        vals = [(x + fk * c) % p for c in range(p) for x in vals]
-    return frozenset(c for c, v in enumerate(vals) if not v)
 
+    @cache
+    def frame(i: int) -> tuple[list[int], list[int]]:
+        # the codes with digit i zero, the digits below i varying fastest,
+        # and solved[x], the term that sets digit i to -x mod p
+        codes = list(range(p**i))
+        for k in range(i + 1, d):
+            w = p**k
+            codes = [c + j * w for j in range(p) for c in codes]
+        return codes, [-x % p * p**i for x in range((p - 1) ** 2 * (d - 1 - i) + 1)]
 
-def _hyperplanes(d: int, p: int):
-    """The zero codes of one nonzero functional on GF(p)^d per hyperplane
-    (its first nonzero entry 1)."""
-    for f in product(range(p), repeat=d):
-        if next(filter(None, f), 0) == 1:
-            yield _zeros(f, p)
+    @cache
+    def kernel(i: int, row: tuple[int, ...]) -> frozenset[int]:
+        # row: the entries after the pivot i; vals: row's value on frame(i)'s codes
+        codes, solved = frame(i)
+        vals = [0] * p**i
+        for fk in row:
+            vals = [x + fk * j for j in range(p) for x in vals]
+        return frozenset(map(add, codes, map(solved.__getitem__, vals)))
+
+    for pivots in combinations(range(d), m):
+        rows = [[kernel(i, row) for row in product(
+                    *((0,) if k in pivots else range(p) for k in range(i + 1, d)))]
+                for i in pivots]
+        for ks in product(*rows):
+            yield reduce(and_, ks) if ks else frozenset(range(p**d))
 
 
 def _preimage(G: FiniteGroup, cosets, codes) -> Subgroup:
-    return Subgroup(G, [x for c in codes for x in cosets[c]])
+    # A frozenset copied from a set is sized for its length; one filled from
+    # an iterator keeps the larger table its growth left behind.
+    return Subgroup(G, set(chain.from_iterable(map(cosets.__getitem__, codes))))
 
 
 @memo
+def _frattini_family(sub: Subgroup, m: int) -> list[Subgroup]:
+    """The subgroups of a p-group P that contain Phi(P) and have index p^m,
+    sorted by `sorted_ids`: the preimages of the codimension-m subspaces of
+    P/Phi(P) = GF(p)^d, each a union of Phi-cosets (`_frattini_cosets`),
+    so no product is taken once the cosets are known."""
+    p, d, cosets = _frattini_cosets(sub)
+    out = [_preimage(sub.group, cosets, codes) for codes in _subspaces(d, p, m)]
+    out.sort(key=lambda s: s.sorted_ids)
+    return out
+
+
 def maximal_subgroups_of_p_group(X) -> list[Subgroup]:
     """The maximal subgroups of a p-group P, computed inside the ambient group.
 
     They contain Phi(P), so each is the preimage of a hyperplane of
-    P/Phi(P) = GF(p)^d: the kernel of a nonzero functional f.  P's ids are
-    grouped once by the code of their Phi-coset (`_frattini_cosets`), f's
-    values on all p^d codes come from a digit recurrence (`_zeros`), and
-    the kernel is the union of the cosets f sends to 0: no product and no
-    dot product per element.
+    P/Phi(P) = GF(p)^d: the index-p member of `_frattini_family`.
     """
-    G, sub = _ambient(X)
-    if sub.order == 1:
-        return []
-    p, d, cosets = _frattini_cosets(sub)
-    out = [_preimage(G, cosets, zeros) for zeros in _hyperplanes(d, p)]
-    out.sort(key=lambda s: s.sorted_ids)
-    return out
+    _, sub = _ambient(X)
+    return _frattini_family(sub, 1) if sub.order > 1 else []
 
 
 @memo
@@ -224,10 +265,7 @@ def two_maximal_subgroups_of_p_group(X) -> list[Subgroup]:
     A subgroup H of index p*p either contains Phi(P) or it does not.
 
     - If it does, H is the preimage of a codimension-2 subspace of
-      P/Phi(P), the common kernel of the two rows of a matrix in reduced
-      row echelon form: pivots i < j, the first row 0 before i, 1 at i
-      and 0 at j, the second row 0 up to j and 1 at j, free elsewhere.
-      Each subspace has one such matrix, so there are [d 2]_p of them.
+      P/Phi(P): the index-p*p member of `_frattini_family`.
     - If it does not, H lies in a maximal subgroup M, and M contains
       Phi(P), so H < H*Phi(P) <= M; as |M : H| = p, M = H*Phi(P).  So M
       is the only maximal subgroup that contains H, and H is a maximal
@@ -240,26 +278,15 @@ def two_maximal_subgroups_of_p_group(X) -> list[Subgroup]:
     G, sub = _ambient(X)
     if sub.order == 1:
         return []
-    p, d, cosets = _frattini_cosets(sub)
-    zeros = {}  # row -> its zero codes; a row recurs across pairs
-    out = []
-    for i, j in combinations(range(d), 2):
-        for a in product(range(p), repeat=d - i - 2):
-            f = (0,) * i + (1,) + a[: j - i - 1] + (0,) + a[j - i - 1:]
-            if f not in zeros:
-                zeros[f] = _zeros(f, p)
-            for b in product(range(p), repeat=d - j - 1):
-                g = (0,) * j + (1,) + b
-                if g not in zeros:
-                    zeros[g] = _zeros(g, p)
-                out.append(_preimage(G, cosets, zeros[f] & zeros[g]))
+    p, _, cosets = _frattini_cosets(sub)
+    out = _frattini_family(sub, 2)
     phi = frozenset(cosets[0])
     if len(phi) > 1:
-        for M in maximal_subgroups_of_p_group(sub):
+        for M in _frattini_family(sub, 1):
             _, e, inner = _frattini_cosets(M)
             image = {c for c, ids in enumerate(inner) if ids[0] in phi}
-            out += [_preimage(G, inner, z) for z in _hyperplanes(e, p) if not image <= z]
-    out.sort(key=lambda s: s.sorted_ids)
+            out += [_preimage(G, inner, z) for z in _subspaces(e, p, 1) if not image <= z]
+        out.sort(key=lambda s: s.sorted_ids)
     return out
 
 

@@ -7,13 +7,14 @@ on small groups) and compare the package's real algorithms against them.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from operator import mul
 
-from gpi.arith import factorize
-from gpi.groups import FiniteGroup, Subgroup, TableGroup
+from gpi.arith import factorize, p_part
+from gpi.groups import FiniteGroup, Subgroup, TableGroup, closure_ids
 from gpi.series import _join_normal, principal_normal_closures
-from gpi.structure import frattini_subgroup_of_p_subgroup, normal_closure
+from gpi.structure import element_power, frattini_subgroup_of_p_subgroup, normal_closure
+from gpi.sylow import _frattini_cosets
 
 
 def brute_closure(G: FiniteGroup, seeds) -> frozenset:
@@ -191,6 +192,139 @@ def nested_two_maximal_subgroups(sub: Subgroup) -> list[Subgroup]:
             if H.ids not in seen:
                 seen.add(H.ids)
                 out.append(H)
+    out.sort(key=lambda s: s.sorted_ids)
+    return out
+
+
+def _ambient(X) -> tuple[FiniteGroup, Subgroup]:
+    if isinstance(X, FiniteGroup):
+        return X, X.full_subgroup()
+    return X.group, X
+
+
+def cyclic_subgroups_by_scan(X, k: int) -> list[Subgroup]:
+    """The cyclic subgroups of order k: one scan of X in id order for this
+    k alone, each new subgroup listed by the powers of its first element
+    (the package's earlier construction, kept as a reference)."""
+    G, sub = _ambient(X)
+    found: set[int] = set()
+    out: list[Subgroup] = []
+    for x in sorted(sub.ids):
+        if x in found or G.element_order(x) != k:
+            continue
+        ids = [0, x]
+        y = G.mul(x, x)
+        while y:
+            ids.append(y)
+            y = G.mul(y, x)
+        found.update(ids)
+        out.append(Subgroup(G, ids, gens=[x]))
+    out.sort(key=lambda s: s.sorted_ids)
+    return out
+
+
+def conjugation_first_sylow(G: FiniteGroup, p: int, within: Subgroup | None = None) -> Subgroup:
+    """A Sylow p-subgroup of `within` (default G) grown as `gpi.sylow` grows
+    it, but testing each candidate's conjugation of the generators so far
+    before its order (the package's earlier order of tests)."""
+    within = within or G.full_subgroup()
+    target = p_part(within.order, p)
+    pgens: list[int] = []
+    cur = frozenset((0,))
+    while len(cur) < target:
+        for y in sorted(within.ids):
+            if y in cur or any(G.conj(m, y) not in cur for m in pgens):
+                continue
+            o = G.element_order(y)
+            op = p_part(o, p)
+            if op == 1:
+                continue
+            y = element_power(G, y, o // op)
+            if y not in cur:
+                pgens.append(y)
+                cur = closure_ids(G, pgens, prior=cur)
+                break
+    return Subgroup(G, cur, gens=pgens)
+
+
+def pair_scan_two_minimal_subgroups(X, p: int) -> list[Subgroup]:
+    """The subgroups of order p*p: cyclic ones, and each elementary plane
+    filled in from the first commuting pair of its lines by the products
+    of their elements (the package's earlier construction)."""
+    G, sub = _ambient(X)
+    out = cyclic_subgroups_by_scan(sub, p * p)
+    lines = cyclic_subgroups_by_scan(sub, p)
+    gens = [L.gens[0] for L in lines]
+    rest = [[x for x in L.ids if x] for L in lines]
+    line_of = {x: i for i, xs in enumerate(rest) for x in xs}
+    covered: list[set[int]] = [set() for _ in lines]
+    for i, j in combinations(range(len(lines)), 2):
+        a, b = gens[i], gens[j]
+        if j in covered[i] or G.mul(a, b) != G.mul(b, a):
+            continue
+        ids = lines[i].ids | lines[j].ids | {G.mul(x, y) for x in rest[i] for y in rest[j]}
+        on = {line_of[x] for x in ids if x}
+        for k in on:
+            covered[k] |= on
+        out.append(Subgroup(G, ids, gens=[a, b]))
+    out.sort(key=lambda s: s.sorted_ids)
+    return out
+
+
+def _zeros(f, p: int) -> frozenset[int]:
+    """The codes sum v_k p^k of the v in GF(p)^len(f) with f.v = 0 mod p,
+    from all p^len(f) values of f."""
+    vals = [0]
+    for fk in f:
+        vals = [(x + fk * c) % p for c in range(p) for x in vals]
+    return frozenset(c for c, v in enumerate(vals) if not v)
+
+
+def _hyperplanes(d: int, p: int):
+    for f in product(range(p), repeat=d):
+        if next(filter(None, f), 0) == 1:
+            yield _zeros(f, p)
+
+
+def _codes_preimage(G: FiniteGroup, cosets, codes) -> Subgroup:
+    return Subgroup(G, [x for c in codes for x in cosets[c]])
+
+
+def functional_maximal_subgroups(X) -> list[Subgroup]:
+    """The maximal subgroups of a p-group from the Frattini codes of
+    `gpi.sylow._frattini_cosets`, each the zeros of one functional found
+    among its values on all p^d codes (the package's earlier construction)."""
+    G, sub = _ambient(X)
+    if sub.order == 1:
+        return []
+    p, d, cosets = _frattini_cosets(sub)
+    out = [_codes_preimage(G, cosets, zeros) for zeros in _hyperplanes(d, p)]
+    out.sort(key=lambda s: s.sorted_ids)
+    return out
+
+
+def functional_two_maximal_subgroups(X) -> list[Subgroup]:
+    """The subgroups of index p*p of a p-group: those containing Phi(P)
+    from nested pivot loops over pairs of functionals, the others as
+    maximal subgroups of the one maximal subgroup above each (the
+    package's earlier construction)."""
+    G, sub = _ambient(X)
+    if sub.order == 1:
+        return []
+    p, d, cosets = _frattini_cosets(sub)
+    out = []
+    for i, j in combinations(range(d), 2):
+        for a in product(range(p), repeat=d - i - 2):
+            f = (0,) * i + (1,) + a[: j - i - 1] + (0,) + a[j - i - 1:]
+            for b in product(range(p), repeat=d - j - 1):
+                g = (0,) * j + (1,) + b
+                out.append(_codes_preimage(G, cosets, _zeros(f, p) & _zeros(g, p)))
+    phi = frozenset(cosets[0])
+    if len(phi) > 1:
+        for M in functional_maximal_subgroups(sub):
+            _, e, inner = _frattini_cosets(M)
+            image = {c for c, ids in enumerate(inner) if ids[0] in phi}
+            out += [_codes_preimage(G, inner, z) for z in _hyperplanes(e, p) if not image <= z]
     out.sort(key=lambda s: s.sorted_ids)
     return out
 

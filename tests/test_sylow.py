@@ -10,7 +10,7 @@ import pytest
 from gpi import sylow
 from gpi.arith import factorize, is_prime, p_part
 from gpi.catalog import build_group, from_description, group_names
-from gpi.groups import LimitExceeded, Subgroup, closure_ids
+from gpi.groups import LimitExceeded, Subgroup, TableGroup, closure_ids
 from gpi.series import normal_subgroups
 from gpi.structure import frattini_subgroup_of_p_subgroup, p_residual
 from gpi.sylow import (
@@ -29,8 +29,13 @@ from oracles import (
     brute_has_q8_section,
     brute_subgroups_of_order,
     brute_two_group_shape,
+    conjugation_first_sylow,
+    cyclic_subgroups_by_scan,
+    functional_maximal_subgroups,
+    functional_two_maximal_subgroups,
     nested_maximal_subgroups,
     nested_two_maximal_subgroups,
+    pair_scan_two_minimal_subgroups,
 )
 
 
@@ -268,6 +273,144 @@ def test_two_maximal_builds_each_member_once(case, monkeypatch):
     assert {H.ids for H in built} == {H.ids for H in got}
     if case == "5^4:3":
         assert len(got) == 806
+
+
+def _members(subs):
+    return [(H.sorted_ids, H.gens) for H in subs]
+
+
+def _gaussian_binomial(d, k, p):
+    """[d k]_p, the number of k-dimensional subspaces of GF(p)^d."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (d - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den if 0 <= k <= d else 0
+
+
+@pytest.mark.parametrize("name", group_names())
+def test_families_equal_the_earlier_constructions(name):
+    # Same id-sets, list order and generators as the pair scan and the
+    # functional filters, on every Sylow subgroup of the catalogue (5^4:3
+    # included); likewise the cyclic subgroups of every order, and the
+    # Sylow subgroups grown within each normal subgroup.
+    G = build_group(name)
+    for p in factorize(G.n):
+        P = sylow_subgroup(G, p)
+        assert _members(two_minimal_subgroups(P, p)) == _members(
+            pair_scan_two_minimal_subgroups(P, p)), (name, p)
+        assert _members(maximal_subgroups_of_p_group(P)) == _members(
+            functional_maximal_subgroups(P)), (name, p)
+        assert _members(two_maximal_subgroups_of_p_group(P)) == _members(
+            functional_two_maximal_subgroups(P)), (name, p)
+        for E in normal_subgroups(G):
+            got, want = sylow._grown_sylow(G, p, E), conjugation_first_sylow(G, p, E)
+            assert (got.ids, got.gens) == (want.ids, want.gens), (name, p, E.order)
+    for k in sorted({G.element_order(a) for a in range(G.n)} | {G.n + 1}):
+        assert _members(cyclic_subgroups_of_order(G, k)) == _members(
+            cyclic_subgroups_by_scan(G, k)), (name, k)
+
+
+S7 = {"type": "perm", "degree": 7, "generators": [[list(range(7))], [[0, 1]]]}
+
+
+def test_cyclic_subgroups_from_one_scan(monkeypatch):
+    # Every order is read off one scan of S7: after the first request the
+    # others take no product, and each equals its own per-order scan.
+    G = from_description(S7)
+    orders = sorted({G.element_order(a) for a in range(G.n)})
+    assert len(orders) == 9
+    want = {k: _members(cyclic_subgroups_by_scan(G, k)) for k in orders}
+    assert _members(cyclic_subgroups_of_order(G, orders[-1])) == want[orders[-1]]
+    calls = []
+    real = G.mul
+    monkeypatch.setattr(G, "mul", lambda a, b: calls.append(1) or real(a, b))
+    got = {k: _members(cyclic_subgroups_of_order(G, k)) for k in orders}
+    assert got == want and not calls
+    assert sum(map(len, got.values())) == 2039
+
+
+# Elementary abelian groups of rank 3 and 5 built from generators: there
+# the 2-minimal family (index p^(d-2)) and the 2-maximal one (index p^2)
+# are different families.  C2^5 multiplies ids by exclusive or.
+RANK_CASES = {
+    "C2^3": lambda: from_description(
+        {"type": "perm", "degree": 6, "generators": [[[0, 1]], [[2, 3]], [[4, 5]]]}),
+    "C3^3": lambda: from_description(
+        {"type": "perm", "degree": 9, "generators": [[[0, 1, 2]], [[3, 4, 5]], [[6, 7, 8]]]}),
+    "C2^5": lambda: TableGroup(32, lambda a, b: a ^ b, lambda a: a, gens=[1, 2, 4, 8, 16]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_CASES))
+def test_elementary_abelian_families_of_rank_3_and_5(case):
+    G = RANK_CASES[case]()
+    (p, d), = factorize(G.n).items()
+    assert G.is_abelian() and {G.element_order(a) for a in range(1, G.n)} == {p}
+    P = G.full_subgroup()
+    subgroups = brute_all_subgroups(G)
+    for got, k in [(two_minimal_subgroups(P, p), 2), (maximal_subgroups_of_p_group(P), d - 1),
+                   (two_maximal_subgroups_of_p_group(P), d - 2)]:
+        ids = [H.ids for H in got]
+        assert set(ids) == {H for H in subgroups if len(H) == p**k}, (case, k)
+        assert len(ids) == _gaussian_binomial(d, k, p), (case, k)
+        assert ids == sorted(ids, key=sorted), (case, k)
+    assert _members(two_minimal_subgroups(P, p)) == _members(pair_scan_two_minimal_subgroups(P, p))
+    assert _members(two_maximal_subgroups_of_p_group(P)) == _members(
+        functional_two_maximal_subgroups(P))
+
+
+def test_subspace_enumerator_lists_each_subspace_once():
+    # [d m]_p distinct code sets of size p^(d-m), each a subspace, for
+    # every codimension from 0 (the whole space) to d (the zero subspace).
+    for p, top in [(2, 4), (3, 3), (5, 2)]:
+        for d in range(top + 1):
+            for m in range(d + 1):
+                got = list(sylow._subspaces(d, p, m))
+                assert len(set(got)) == len(got) == _gaussian_binomial(d, m, p), (p, d, m)
+                for codes in got:
+                    assert len(codes) == p ** (d - m) and 0 in codes
+                    vecs = [[c // p**k % p for k in range(d)] for c in codes]
+                    assert all(sum((x + y) % p * p**k for k, (x, y) in enumerate(zip(u, v))) in codes
+                               for u in vecs for v in vecs), (p, d, m)
+    assert sum(1 for _ in sylow._subspaces(4, 5, 2)) == 806
+
+
+def test_sylow_families_share_members_and_take_no_products(monkeypatch):
+    # On 5^4, Phi = 1: the planes are the codimension-2 family, handed out
+    # as the same objects by the 2-minimal and 2-maximal builders, and no
+    # family takes a product once the Frattini codes are known.
+    G = build_group("5^4:3", fresh=True)
+    P = sylow_subgroup(G, 5)
+    sylow._frattini_cosets(P)
+    calls = []
+    real = G.mul
+    monkeypatch.setattr(G, "mul", lambda a, b: calls.append(1) or real(a, b))
+    planes = two_minimal_subgroups(P, 5)
+    maxes = maximal_subgroups_of_p_group(P)
+    same = two_maximal_subgroups_of_p_group(P)
+    assert not calls
+    assert (len(planes), len(maxes)) == (806, 156)
+    assert all(a is b for a, b in zip(planes, same, strict=True))
+
+
+def test_family_edge_cases_keep_their_answers():
+    # A trivial P, |P| = p, a P for another prime, and X = G not a p-group.
+    S4 = build_group("S4")
+    trivial, c3 = sylow_subgroup(S4, 7), sylow_subgroup(S4, 3)
+    for P, p in [(trivial, 7), (c3, 3), (c3, 2), (sylow_subgroup(S4, 2), 3)]:
+        assert _members(two_minimal_subgroups(P, p)) == _members(
+            pair_scan_two_minimal_subgroups(P, p)), (P.order, p)
+    for P in [trivial, c3]:
+        assert _members(maximal_subgroups_of_p_group(P)) == _members(
+            functional_maximal_subgroups(P)), P.order
+        assert _members(two_maximal_subgroups_of_p_group(P)) == _members(
+            functional_two_maximal_subgroups(P)), P.order
+    assert [H.order for H in maximal_subgroups_of_p_group(c3)] == [1]
+    for name, p in [("S4", 2), ("A5", 2), ("5^4:3", 5)]:
+        G = build_group(name)
+        assert _members(two_minimal_subgroups(G, p)) == _members(
+            pair_scan_two_minimal_subgroups(G, p)), name
 
 
 def test_all_subgroups_against_brute():
