@@ -39,8 +39,6 @@ cannot change what the memo holds.  No Cayley table is built.
 from __future__ import annotations
 
 import functools
-import inspect
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd, inf
 from operator import itemgetter
@@ -49,8 +47,51 @@ from . import bsgs
 from .perm import Perm
 
 
-@dataclass(frozen=True)
-class Limits:
+class Record:
+    """A value record over `__slots__`: fields compare as a tuple, and the
+    repr names each field but those in `_unshown`.  The records are written
+    out by hand rather than made by `dataclasses`, so importing the package
+    generates and runs no code."""
+
+    __slots__ = ()
+    _unshown: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # a mutable record is unhashable
+
+    def __repr__(self) -> str:
+        shown = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f not in self._unshown)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+class FrozenRecord(Record):
+    """A `Record` whose fields `__init__` sets once, through `_fix`; then
+    they are read-only, and the record hashes by value."""
+
+    __slots__ = ()
+
+    def _fix(self, *values) -> None:
+        for f, v in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, f, v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Limits(FrozenRecord):
     """Desk-scale ceilings, each checked before the memory it guards is
     allocated.  Raise them deliberately, not by accident.
 
@@ -59,9 +100,11 @@ class Limits:
     permutation groups only; `subgroup_scan_bound` bounds `all_subgroups`.
     """
 
-    max_elements: int = 1_000_000
-    max_degree: int = 4096
-    subgroup_scan_bound: int = 256
+    __slots__ = ("max_elements", "max_degree", "subgroup_scan_bound")
+
+    def __init__(self, max_elements: int = 1_000_000, max_degree: int = 4096,
+                 subgroup_scan_bound: int = 256):
+        self._fix(max_elements, max_degree, subgroup_scan_bound)
 
 
 DEFAULT_LIMITS = Limits()
@@ -69,6 +112,9 @@ DEFAULT_LIMITS = Limits()
 
 class LimitExceeded(RuntimeError):
     """The computation would overrun a configured desk-scale ceiling."""
+
+
+_REQUIRED = object()  # the default slot of a parameter that has none
 
 
 def memo(fn):
@@ -81,19 +127,22 @@ def memo(fn):
     first argument stays in the key.  A stored list is handed out as a
     shallow copy, so callers may mutate what they get.
     """
-    sig = inspect.signature(fn)
-    params = sig.parameters.values()
-    if any(p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) for p in params):
+    code = fn.__code__
+    if code.co_flags & 0x0C:  # CO_VARARGS | CO_VARKEYWORDS
         raise TypeError(f"memo cannot key {fn.__qualname__}: it takes *args or **kwargs")
-    defaults = tuple(p.default for p in params)
+    names = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+    pos = fn.__defaults__ or ()
+    given = dict(zip(names[code.co_argcount - len(pos):], pos), **(fn.__kwdefaults__ or {}))
+    defaults = tuple(given.get(n, _REQUIRED) for n in names)
     name = fn.__qualname__
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         if kwargs:
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            full = tuple(bound.arguments.values())
+            rest = names[len(args):]
+            if not kwargs.keys() <= set(rest):
+                return fn(*args, **kwargs)  # raises the call's TypeError
+            full = args + tuple(map(kwargs.get, rest, defaults[len(args):]))
         else:
             full = args + defaults[len(args):]
         if isinstance(full[0], Subgroup):
@@ -344,9 +393,13 @@ class FiniteGroup:
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,), gens=())
 
+    @memo
     def full_subgroup(self) -> "Subgroup":
+        """The whole group, one handle per group; its id-set is copied from
+        a set, so its table is sized for n ids (one grown from a range
+        holds about twice the memory)."""
         self.materialize()
-        return Subgroup(self, range(self.n), gens=self.reduced_generator_ids())
+        return Subgroup(self, set(range(self.n)), gens=self.reduced_generator_ids())
 
     def generated(self, seed_ids) -> "Subgroup":
         seeds = [s for s in dict.fromkeys(seed_ids) if s != 0]

@@ -22,24 +22,20 @@ the first time a (K, meet) pair is asked and is remembered on the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .arith import is_pi_number, prime_set
-from .groups import FiniteGroup, Subgroup, memo
+from .groups import FiniteGroup, FrozenRecord, Record, Subgroup, memo
 from .series import ChiefSeries, minimal_normal_overgroups
 from .structure import normalizer_index
 
 
-@dataclass(frozen=True)
-class FactorCheck:
+class FactorCheck(FrozenRecord):
     """One chief factor M/K tested against a fixed subgroup H."""
 
-    k_order: int
-    m_order: int
-    meet_order: int
-    index: int
-    pi: tuple[int, ...]
-    passed: bool
+    __slots__ = ("k_order", "m_order", "meet_order", "index", "pi", "passed")
+
+    def __init__(self, k_order: int, m_order: int, meet_order: int, index: int,
+                 pi: tuple[int, ...], passed: bool):
+        self._fix(k_order, m_order, meet_order, index, pi, passed)
 
     @property
     def vacuous(self) -> bool:
@@ -93,16 +89,15 @@ def _factor_check(G: FiniteGroup, k: int, m: int, meet: int, index: int) -> Fact
     return FactorCheck(k, m, meet, index, pi, is_pi_number(index, pi))
 
 
-@dataclass
-class PiWitness:
+class PiWitness(Record):
     """A chief series over which every factor check passes."""
 
-    group: FiniteGroup
-    subgroup: Subgroup
-    terms: list[Subgroup]
-    checks: list[FactorCheck]
-
+    __slots__ = ("group", "subgroup", "terms", "checks")
     satisfied = True
+
+    def __init__(self, group: FiniteGroup, subgroup: Subgroup, terms: list[Subgroup],
+                 checks: list[FactorCheck]):
+        self.group, self.subgroup, self.terms, self.checks = group, subgroup, terms, checks
 
     def series(self) -> ChiefSeries:
         return ChiefSeries(self.group, self.terms)
@@ -133,20 +128,22 @@ class PiWitness:
         }
 
 
-@dataclass
-class PiRefusal:
+class PiRefusal(Record):
     """Proof that no chief series works: every maximal normal chain from
     the trivial subgroup runs into a blocked term.
 
     `blocked` maps each explored term to the checks of all its chief
-    factors; entries that passed lead to terms that are blocked too.
+    factors; entries that passed lead to terms that are blocked too.  The
+    repr leaves it out.
     """
 
-    group: FiniteGroup
-    subgroup: Subgroup
-    blocked: list[tuple[Subgroup, list[FactorCheck]]] = field(repr=False)
-
+    __slots__ = ("group", "subgroup", "blocked")
+    _unshown = ("blocked",)
     satisfied = False
+
+    def __init__(self, group: FiniteGroup, subgroup: Subgroup,
+                 blocked: list[tuple[Subgroup, list[FactorCheck]]]):
+        self.group, self.subgroup, self.blocked = group, subgroup, blocked
 
     @property
     def explored(self) -> int:

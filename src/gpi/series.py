@@ -14,10 +14,8 @@ with no quotient group formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import factorize, is_prime, p_part
-from .groups import FiniteGroup, Subgroup, closure_ids, memo, product_ids
+from .groups import FiniteGroup, Record, Subgroup, closure_ids, memo, product_ids
 from .structure import element_power
 
 
@@ -114,12 +112,13 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return sorted(seen.values(), key=lambda S: (S.order, S.sorted_ids))
 
 
-@dataclass
-class ChiefSeries:
+class ChiefSeries(Record):
     """A maximal normal chain 1 = T0 < T1 < ... < Tk = G."""
 
-    group: FiniteGroup
-    terms: list[Subgroup]
+    __slots__ = ("group", "terms")
+
+    def __init__(self, group: FiniteGroup, terms: list[Subgroup]):
+        self.group, self.terms = group, terms
 
     def factors(self) -> list[tuple[Subgroup, Subgroup]]:
         return list(zip(self.terms, self.terms[1:]))
@@ -244,17 +243,16 @@ def is_nilpotent(G: FiniteGroup) -> bool:
     return hypercenter(G).is_full
 
 
-@dataclass
-class UpperPSeries:
+class UpperPSeries(Record):
     """Strict terms of 1 <= O_{p'} <= O_{p',p} <= ... up to G.
 
     `kinds` records, per step, whether the jump was a p'-step or a p-step.
     """
 
-    group: FiniteGroup
-    p: int
-    terms: list[Subgroup]
-    kinds: list[str]
+    __slots__ = ("group", "p", "terms", "kinds")
+
+    def __init__(self, group: FiniteGroup, p: int, terms: list[Subgroup], kinds: list[str]):
+        self.group, self.p, self.terms, self.kinds = group, p, terms, kinds
 
     @property
     def p_length(self) -> int:

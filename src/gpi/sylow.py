@@ -10,7 +10,9 @@ coordinates v in P/Phi(P) = GF(p)^d, stored as the integer code
 sum v_k p^k, and P's ids are grouped by code once.  A subgroup of index p^m
 that contains Phi(P) is a union of those cosets, picked out by the zero
 codes of a codimension-m subspace; one enumerator lists each such subspace
-once, and each family is built once per P and m: the maximal subgroups
+once, from the free digits of its reduced row echelon rows and the pivot
+digits they solve, at p^(d-m) codes per subspace and no filter, and each
+family is built once per P and m: the maximal subgroups
 (m = 1), the second maximal ones that contain Phi(P) (m = 2) and, when P is
 elementary abelian, the subgroups of order p*p (m = d - 2).  A subgroup of
 index p*p that does not contain Phi(P) lies in exactly one maximal subgroup
@@ -20,9 +22,8 @@ found from a pair of its generators' preimages and the relators of Q8.
 
 from __future__ import annotations
 
-from functools import cache, reduce
-from itertools import chain, combinations, product
-from operator import add, and_
+from itertools import chain, combinations
+from operator import add
 
 from .arith import factorize, p_part
 from .groups import FiniteGroup, LimitExceeded, Subgroup, closure_ids, memo
@@ -198,42 +199,60 @@ def _subspaces(d: int, p: int, m: int):
     A subspace is the common kernel of exactly one m-row matrix in reduced
     row echelon form: pivots i_1 < ... < i_m, row t 0 before i_t, 1 at i_t,
     0 at the other pivots and free elsewhere; so there are [d m]_p of them.
-    A row's kernel is listed directly: every digit but the pivot's is
-    free, and the pivot digit is solved for, p^(d-1) codes.  A row recurs
-    across matrices, so each is listed once per call.
+    Each is listed from its solved pivot digits: the d - m digits off the
+    pivots are free, and row t sets digit i_t to minus its entries times
+    those digits, so a subspace costs its p^(d-m) codes and nothing is
+    filtered.  For one set of pivots the codes of the free digits are
+    listed once, and so is each row's term (its solved digit times
+    p^i_t) on every one of them; a subspace is the sum of the free codes
+    and one term per row, taken a list at a time.
     """
-
-    @cache
-    def frame(i: int) -> tuple[list[int], list[int]]:
-        # the codes with digit i zero, the digits below i varying fastest,
-        # and solved[x], the term that sets digit i to -x mod p
-        codes = list(range(p**i))
-        for k in range(i + 1, d):
-            w = p**k
-            codes = [c + j * w for j in range(p) for c in codes]
-        return codes, [-x % p * p**i for x in range((p - 1) ** 2 * (d - 1 - i) + 1)]
-
-    @cache
-    def kernel(i: int, row: tuple[int, ...]) -> frozenset[int]:
-        # row: the entries after the pivot i; vals: row's value on frame(i)'s codes
-        codes, solved = frame(i)
-        vals = [0] * p**i
-        for fk in row:
-            vals = [x + fk * j for j in range(p) for x in vals]
-        return frozenset(map(add, codes, map(solved.__getitem__, vals)))
-
     for pivots in combinations(range(d), m):
-        rows = [[kernel(i, row) for row in product(
-                    *((0,) if k in pivots else range(p) for k in range(i + 1, d)))]
-                for i in pivots]
-        for ks in product(*rows):
-            yield reduce(and_, ks) if ks else frozenset(range(p**d))
+        free = [k for k in range(d) if k not in pivots]
+        codes = [0]  # the pivot digits 0, free[0] varying fastest
+        for k in free:
+            codes = [c + j * p**k for j in range(p) for c in codes]
+        size = len(codes)
+        # digit free[j] of the x-th code, times each r in GF(p)
+        scaled = [[[x // p**j % p * r for x in range(size)] for r in range(p)]
+                  for j in range(len(free))]
+        terms = []
+        for i in pivots:
+            after = [j for j, k in enumerate(free) if k > i]
+            rows = [[0] * size]  # each row's entries times the free digits, summed
+            for j in after:
+                rows = [list(map(add, vals, s)) for vals in rows for s in scaled[j]]
+            solved = [-x % p * p**i for x in range((p - 1) ** 2 * len(after) + 1)]
+            terms.append([list(map(solved.__getitem__, vals)) for vals in rows])
+        yield from _sums(codes, terms)
 
 
-def _preimage(G: FiniteGroup, cosets, codes) -> Subgroup:
-    # A frozenset copied from a set is sized for its length; one filled from
-    # an iterator keeps the larger table its growth left behind.
-    return Subgroup(G, set(chain.from_iterable(map(cosets.__getitem__, codes))))
+def _sums(acc: list[int], terms: list[list[list[int]]]):
+    # acc plus one term of each row, for every choice of terms
+    if not terms:
+        yield tuple(acc)
+    elif len(terms) == 1:
+        for t in terms[0]:
+            yield tuple(map(add, acc, t))
+    else:
+        for t in terms[0]:
+            yield from _sums(list(map(add, acc, t)), terms[1:])
+
+
+def _preimages(G: FiniteGroup, cosets, spaces) -> list[Subgroup]:
+    """The preimages of code sets, each the union of its codes' cosets,
+    sorted by `sorted_ids`.  A trivial Phi(P) is one id per code.  Each
+    member's sorted id list is formed once and is its own sort key; a
+    frozenset copied from a set is sized for its length, where one filled
+    from a list keeps the larger table its growth left behind."""
+    if len(cosets[0]) == 1:
+        ids = [c for c, in cosets]
+        members = [sorted(map(ids.__getitem__, codes)) for codes in spaces]
+    else:
+        members = [sorted(chain.from_iterable(map(cosets.__getitem__, codes)))
+                   for codes in spaces]
+    members.sort()
+    return [Subgroup(G, set(m)) for m in members]
 
 
 @memo
@@ -243,9 +262,7 @@ def _frattini_family(sub: Subgroup, m: int) -> list[Subgroup]:
     P/Phi(P) = GF(p)^d, each a union of Phi-cosets (`_frattini_cosets`),
     so no product is taken once the cosets are known."""
     p, d, cosets = _frattini_cosets(sub)
-    out = [_preimage(sub.group, cosets, codes) for codes in _subspaces(d, p, m)]
-    out.sort(key=lambda s: s.sorted_ids)
-    return out
+    return _preimages(sub.group, cosets, _subspaces(d, p, m))
 
 
 def maximal_subgroups_of_p_group(X) -> list[Subgroup]:
@@ -285,7 +302,7 @@ def two_maximal_subgroups_of_p_group(X) -> list[Subgroup]:
         for M in _frattini_family(sub, 1):
             _, e, inner = _frattini_cosets(M)
             image = {c for c, ids in enumerate(inner) if ids[0] in phi}
-            out += [_preimage(G, inner, z) for z in _subspaces(e, p, 1) if not image <= z]
+            out += _preimages(G, inner, [z for z in _subspaces(e, p, 1) if not image.issubset(z)])
         out.sort(key=lambda s: s.sorted_ids)
     return out
 

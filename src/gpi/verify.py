@@ -13,11 +13,9 @@ any group.  l214, an equivalence, has its own loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .arith import p_part, prime_set
 from .formations import f_hypercenter
-from .groups import FiniteGroup, LimitExceeded, Subgroup
+from .groups import FiniteGroup, LimitExceeded, Record, Subgroup
 from .partialpi import satisfies_partial_pi
 from .series import hypercenter, is_p_soluble, normal_subgroups, p_length
 from .structure import p_residual
@@ -31,12 +29,14 @@ from .sylow import (
 )
 
 
-@dataclass
-class TheoremReport:
-    theorem: str
-    label: str
-    group: str
-    details: list[dict] = field(default_factory=list)
+class TheoremReport(Record):
+    """One theorem checked on one group: a detail dict per instance."""
+
+    __slots__ = ("theorem", "label", "group", "details")
+
+    def __init__(self, theorem: str, label: str, group: str, details: list[dict] | None = None):
+        self.theorem, self.label, self.group = theorem, label, group
+        self.details = [] if details is None else details
 
     @property
     def instances(self) -> int:

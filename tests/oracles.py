@@ -36,7 +36,9 @@ def brute_closure(G: FiniteGroup, seeds) -> frozenset:
 
 
 def brute_all_subgroups(G: FiniteGroup, max_order: int | None = None) -> set[frozenset]:
-    """Every subgroup, found by repeatedly adjoining single elements."""
+    """Every subgroup, found by repeatedly adjoining single elements.  From
+    H, one element per right coset H*g is adjoined: <H, hg> = <H, g> for h
+    in H."""
     n = G.n
     if n > 200:
         raise ValueError("exhaustive subgroup search is an oracle for small groups only")
@@ -45,9 +47,11 @@ def brute_all_subgroups(G: FiniteGroup, max_order: int | None = None) -> set[fro
     while frontier:
         nxt = []
         for H in frontier:
+            tried = set(H)
             for g in range(1, n):
-                if g in H:
+                if g in tried:
                     continue
+                tried.update(G.mul(h, g) for h in H)
                 K = brute_closure(G, H | {g})
                 if K not in found:
                     found.add(K)

@@ -459,6 +459,26 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
 
 
+_COLD_IMPORT = """
+import sys
+made = []
+sys.addaudithook(lambda event, args: made.append(args[1]) if event == "compile" else None)
+import gpi, gpi.cli
+print(sorted({"dataclasses", "inspect"} & sys.modules.keys()))
+print(sorted({str(f) for f in made if not str(f).endswith(".py")}))
+"""
+
+
+def test_cold_import_generates_no_code():
+    # A fresh interpreter imports the package and its CLI without
+    # `dataclasses` or `inspect`, and compiles nothing but the modules'
+    # own files: no record or memo generates source at import.
+    proc = subprocess.run([sys.executable, "-c", _COLD_IMPORT],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
 def test_console_script():
     proc = subprocess.run(
         [sys.executable, "-m", "gpi.cli", "info", "Q8"],

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -22,9 +23,9 @@ from gpi.groups import (
     quotient,
     semidirect_product,
 )
-from gpi.partialpi import satisfies_partial_pi
+from gpi.partialpi import FactorCheck, PiRefusal, PiWitness, satisfies_partial_pi
 from gpi.perm import Perm
-from gpi.series import normal_subgroups, one_chief_series
+from gpi.series import ChiefSeries, UpperPSeries, normal_subgroups, one_chief_series
 from gpi.sylow import (
     all_subgroups,
     cyclic_subgroups_of_order,
@@ -32,6 +33,8 @@ from gpi.sylow import (
     maximal_subgroups_of_p_group,
     sylow_subgroup,
 )
+
+from gpi.verify import TheoremReport
 
 from affine import AFFINE, affine_description, affine_group
 from oracles import (
@@ -683,6 +686,74 @@ def test_memo_applies_defaults_and_hands_out_copies():
     assert len(maximal_subgroups_of_p_group(P)) == 3
 
 
+def test_full_subgroup_is_one_handle_sized_for_its_ids():
+    # One full subgroup per handle, its id-set copied from a set: a
+    # frozenset grown from range(5040) holds 524,504 bytes, one copied from
+    # a set 262,360.
+    G = from_description({"type": "perm", "degree": 7,
+                          "generators": [[list(range(7))], [[0, 1]]]})
+    full = G.full_subgroup()
+    assert G.full_subgroup() is full and full.is_full and full.ids == frozenset(range(G.n))
+    assert sys.getsizeof(full.ids) == sys.getsizeof(frozenset(set(range(G.n))))
+    assert sys.getsizeof(full.ids) < sys.getsizeof(frozenset(range(G.n)))
+    assert full.gens == G.reduced_generator_ids()
+
+
+def _record_cases():
+    G = s3()
+    H, T = G.full_subgroup(), G.trivial_subgroup()
+    check = FactorCheck(1, 3, 3, 1, (3,), True)
+    # (class, fields in order, the defaulted tail left out, a changed copy)
+    cases = [
+        (Limits, (10, 5, 7), (), Limits(10, 5, 8)),
+        (FactorCheck, (1, 3, 3, 1, (3,), True), (), FactorCheck(1, 3, 3, 1, (3,), False)),
+        (PiWitness, (G, H, [T, H], [check]), (), PiWitness(G, T, [T, H], [check])),
+        (PiRefusal, (G, H, [(T, [check])]), (), PiRefusal(G, H, [])),
+        (ChiefSeries, (G, [T, H]), (), ChiefSeries(G, [T])),
+        (UpperPSeries, (G, 3, [T, H], ["p"]), (), UpperPSeries(G, 2, [T, H], ["p"])),
+        (TheoremReport, ("t11", "l", "S3", [{"a": 1}]), ([],), TheoremReport("t11", "l", "S4")),
+    ]
+    return {case[0].__name__: case for case in cases}
+
+
+@pytest.mark.parametrize("name", ["Limits", "FactorCheck", "PiWitness", "PiRefusal",
+                                  "ChiefSeries", "UpperPSeries", "TheoremReport"])
+def test_records_compare_hash_and_print_by_value(name):
+    cls, values, tail, other = _record_cases()[name]
+    fields = cls.__slots__
+    assert len(fields) == len(values)
+    by_name = dict(zip(fields, values))
+    a, b = cls(*values), cls(**by_name)
+    assert a == b and not (a != b) and a != other and not (a == other)
+    assert a != values and [getattr(a, f) for f in fields] == list(values)
+    if tail:  # the defaulted fields may be left out, positionally or by name
+        head = values[: -len(tail)]
+        short = (cls(*head), cls(**dict(zip(fields, head))))
+        assert all([getattr(x, f) for f in fields] == [*head, *tail] for x in short)
+    if cls is Limits:
+        assert Limits() == Limits(1_000_000, 4096, 256) == Limits(max_degree=4096)
+    shown = repr(a)
+    assert shown.startswith(f"{cls.__name__}(")
+    for f, v in by_name.items():
+        assert (f"{f}={v!r}" in shown) == (cls is not PiRefusal or f != "blocked")
+    if cls in (Limits, FactorCheck):
+        assert hash(a) == hash(b) and len({a, b, other}) == 2
+        with pytest.raises(AttributeError):
+            setattr(a, fields[0], values[0])
+        with pytest.raises(AttributeError):
+            delattr(a, fields[0])
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, fields[0], values[0])
+    with pytest.raises(AttributeError):
+        a.not_a_field = 1
+    if cls is TheoremReport:  # each report gets its own details list
+        one, two = cls(*values[:3]), cls(*values[:3])
+        one.details.append({"hypothesis": True})
+        assert one.details is not two.details and two.details == [] and one != two
+
+
 def test_memo_keys_keyword_only_parameters():
     calls = []
 
@@ -699,6 +770,20 @@ def test_memo_keys_keyword_only_parameters():
     assert calls == [(1, 1), (1, 2), (1, 0)]
     with pytest.raises(TypeError):
         groups.memo(lambda G, *xs: xs)
+    with pytest.raises(TypeError):
+        groups.memo(lambda G, **kw: kw)
+    # A call the function would refuse is refused, and nothing is stored.
+    for bad in [lambda: f(G, 1, j=2), lambda: f(G, k=1), lambda: f(G, 3, 4)]:
+        with pytest.raises(TypeError):
+            bad()
+    assert calls == [(1, 1), (1, 2), (1, 0)] and len(G.memo[f.__qualname__]) == 3
+
+    @groups.memo
+    def g(G, x, y=5, *, k):
+        return (x, y, k)
+
+    assert g(G, 1, k=0) == g(G, 1, 5, k=0) == g(G, k=0, y=5, x=1) == (1, 5, 0)
+    assert len(G.memo[g.__qualname__]) == 1
 
 
 def _isomorphism(G, X):

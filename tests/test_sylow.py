@@ -23,6 +23,7 @@ from gpi.sylow import (
     two_minimal_subgroups,
 )
 
+from affine import AFFINE, affine_group
 from oracles import (
     brute_all_subgroups,
     brute_derived,
@@ -288,13 +289,14 @@ def _gaussian_binomial(d, k, p):
     return num // den if 0 <= k <= d else 0
 
 
-@pytest.mark.parametrize("name", group_names())
+@pytest.mark.parametrize("name", group_names() + sorted(AFFINE))
 def test_families_equal_the_earlier_constructions(name):
     # Same id-sets, list order and generators as the pair scan and the
     # functional filters, on every Sylow subgroup of the catalogue (5^4:3
-    # included); likewise the cyclic subgroups of every order, and the
-    # Sylow subgroups grown within each normal subgroup.
-    G = build_group(name)
+    # included) and of the affine groups ASL(2,3), AGL(2,3) and AGL(2,5);
+    # likewise the cyclic subgroups of every order, and the Sylow subgroups
+    # grown within each normal subgroup.
+    G = affine_group(name) if name in AFFINE else build_group(name)
     for p in factorize(G.n):
         P = sylow_subgroup(G, p)
         assert _members(two_minimal_subgroups(P, p)) == _members(
@@ -330,14 +332,18 @@ def test_cyclic_subgroups_from_one_scan(monkeypatch):
     assert sum(map(len, got.values())) == 2039
 
 
-# Elementary abelian groups of rank 3 and 5 built from generators: there
-# the 2-minimal family (index p^(d-2)) and the 2-maximal one (index p^2)
-# are different families.  C2^5 multiplies ids by exclusive or.
+# Elementary abelian groups of rank 3, 4 and 5 built from generators.  At
+# rank 3 and 5 the 2-minimal family (index p^(d-2)) and the 2-maximal one
+# (index p^2) are different families; at rank 4 they are one, the 130
+# planes of 3^4.  C2^5 multiplies ids by exclusive or.
 RANK_CASES = {
     "C2^3": lambda: from_description(
         {"type": "perm", "degree": 6, "generators": [[[0, 1]], [[2, 3]], [[4, 5]]]}),
     "C3^3": lambda: from_description(
         {"type": "perm", "degree": 9, "generators": [[[0, 1, 2]], [[3, 4, 5]], [[6, 7, 8]]]}),
+    "C3^4": lambda: from_description(
+        {"type": "perm", "degree": 12,
+         "generators": [[[0, 1, 2]], [[3, 4, 5]], [[6, 7, 8]], [[9, 10, 11]]]}),
     "C2^5": lambda: TableGroup(32, lambda a, b: a ^ b, lambda a: a, gens=[1, 2, 4, 8, 16]),
 }
 
@@ -358,18 +364,23 @@ def test_elementary_abelian_families_of_rank_3_and_5(case):
     assert _members(two_minimal_subgroups(P, p)) == _members(pair_scan_two_minimal_subgroups(P, p))
     assert _members(two_maximal_subgroups_of_p_group(P)) == _members(
         functional_two_maximal_subgroups(P))
+    if d == 4:
+        assert _members(two_minimal_subgroups(P, p)) == _members(
+            two_maximal_subgroups_of_p_group(P))
+        assert len(two_minimal_subgroups(P, p)) == 130
 
 
 def test_subspace_enumerator_lists_each_subspace_once():
-    # [d m]_p distinct code sets of size p^(d-m), each a subspace, for
-    # every codimension from 0 (the whole space) to d (the zero subspace).
+    # [d m]_p distinct code sets of p^(d-m) distinct codes, each a
+    # subspace, for every codimension from 0 (the whole space) to d (the
+    # zero subspace).
     for p, top in [(2, 4), (3, 3), (5, 2)]:
         for d in range(top + 1):
             for m in range(d + 1):
                 got = list(sylow._subspaces(d, p, m))
-                assert len(set(got)) == len(got) == _gaussian_binomial(d, m, p), (p, d, m)
+                assert len(set(map(frozenset, got))) == len(got) == _gaussian_binomial(d, m, p)
                 for codes in got:
-                    assert len(codes) == p ** (d - m) and 0 in codes
+                    assert len(set(codes)) == len(codes) == p ** (d - m) and 0 in codes
                     vecs = [[c // p**k % p for k in range(d)] for c in codes]
                     assert all(sum((x + y) % p * p**k for k, (x, y) in enumerate(zip(u, v))) in codes
                                for u in vecs for v in vecs), (p, d, m)
