@@ -114,46 +114,34 @@ class LimitExceeded(RuntimeError):
     """The computation would overrun a configured desk-scale ceiling."""
 
 
-_REQUIRED = object()  # the default slot of a parameter that has none
-
-
 def memo(fn):
     """Remember each result on the group that owns the call.
 
     The owner is the first argument, or its ambient group when that is a
     `Subgroup`.  Results live in `owner.memo[fn.__qualname__]`, keyed by the
-    values of all other parameters in signature order, defaults applied
-    (keyword-only ones too), however the call passes them; a `Subgroup`
-    first argument stays in the key.  A stored list is handed out as a
-    shallow copy, so callers may mutate what they get.
+    call's other positional arguments; a `Subgroup` first argument stays in
+    the key.  So that one entry answers one call shape, `fn` must take no
+    defaults, keyword-only parameters, *args or **kwargs, and is called by
+    position only (a keyword call raises `TypeError`).  A stored list is
+    handed out as a shallow copy, so callers may mutate what they get.
     """
     code = fn.__code__
-    if code.co_flags & 0x0C:  # CO_VARARGS | CO_VARKEYWORDS
-        raise TypeError(f"memo cannot key {fn.__qualname__}: it takes *args or **kwargs")
-    names = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
-    pos = fn.__defaults__ or ()
-    given = dict(zip(names[code.co_argcount - len(pos):], pos), **(fn.__kwdefaults__ or {}))
-    defaults = tuple(given.get(n, _REQUIRED) for n in names)
+    if code.co_flags & 0x0C or code.co_kwonlyargcount or fn.__defaults__:  # 0x0C: *args, **kwargs
+        raise TypeError(f"memo cannot key {fn.__qualname__}: it takes defaults, "
+                        "keyword-only parameters, *args or **kwargs")
     name = fn.__qualname__
 
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        if kwargs:
-            rest = names[len(args):]
-            if not kwargs.keys() <= set(rest):
-                return fn(*args, **kwargs)  # raises the call's TypeError
-            full = args + tuple(map(kwargs.get, rest, defaults[len(args):]))
+    def wrapper(first, /, *rest):
+        if isinstance(first, Subgroup):
+            owner, key = first.group, (first, *rest)
         else:
-            full = args + defaults[len(args):]
-        if isinstance(full[0], Subgroup):
-            owner, key = full[0].group, full
-        else:
-            owner, key = full[0], full[1:]
+            owner, key = first, rest
         table = owner.memo.setdefault(name, {})
         try:
             got = table[key]
         except KeyError:
-            got = table[key] = fn(*args, **kwargs)
+            got = table[key] = fn(first, *rest)
         return list(got) if type(got) is list else got
 
     return wrapper

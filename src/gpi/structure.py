@@ -2,14 +2,16 @@
 
 Everything lattice-shaped (normal subgroup enumeration, chief series, cores,
 socle) lives in `series`; this module stays at the level of single subgroups
-and element scans.
+and element scans, but for two readings: the centre is read off the class
+table and the p-residual off the normal lattice.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
-from .arith import factorize
+from .arith import factorize, p_part
 from .groups import FiniteGroup, Subgroup, closure_ids
 
 
@@ -55,13 +57,15 @@ def centralizer(G: FiniteGroup, elems) -> Subgroup:
 
 
 def centre(G: FiniteGroup) -> Subgroup:
-    return centralizer(G, G.reduced_generator_ids())
+    """Z(G): the ids alone in their conjugacy class, read off `G.class_labels()`."""
+    labels = G.class_labels()
+    sizes = Counter(labels)
+    return Subgroup(G, (x for x, c in enumerate(labels) if sizes[c] == 1))
 
 
-def normal_closure(G: FiniteGroup, seed_ids, by=None) -> Subgroup:
+def normal_closure(G: FiniteGroup, seed_ids, by) -> Subgroup:
     """Smallest subgroup containing the seeds and closed under conjugation
-    by the elements of `by` (default: G's reduced generators, giving the
-    normal closure in G, with conjugates read off `G.conjugation_tables()`).
+    by the elements of `by`.
 
     With `by` the generators of a subgroup K that contains the seeds, the
     result is the normal closure of the seeds in K.  Seeds, then the
@@ -69,10 +73,7 @@ def normal_closure(G: FiniteGroup, seed_ids, by=None) -> Subgroup:
     only when they lie outside the current closure, which each one then
     extends by cosets of the closure so far.
     """
-    if by is None:
-        conjugates = [t.__getitem__ for t in G.conjugation_tables()]
-    else:
-        conjugates = [functools.partial(G.conj, g=g) for g in by]
+    conjugates = [functools.partial(G.conj, g=g) for g in by]
     hgens: list[int] = []
     H = frozenset((0,))
     todo = list(seed_ids)
@@ -85,12 +86,14 @@ def normal_closure(G: FiniteGroup, seed_ids, by=None) -> Subgroup:
 
 
 def p_residual(G: FiniteGroup, p: int) -> Subgroup:
-    """O^p(G): generated by all elements of order prime to p."""
+    """O^p(G), the smallest normal subgroup of p-power index: the first
+    member of the order-sorted normal lattice whose index is a power of p
+    (every normal subgroup of p-power index contains O^p(G))."""
+    from .series import normal_subgroups  # series imports this module
+
     if p not in factorize(G.n):
         raise ValueError(f"{p} does not divide the group order {G.n}")
-    return normal_closure(
-        G, (a for a in range(G.n) if G.element_order(a) % p)
-    )
+    return next(N for N in normal_subgroups(G) if p_part(N.index, p) == N.index)
 
 
 def frattini_subgroup_of_p_subgroup(sub: Subgroup, p: int) -> Subgroup:

@@ -398,7 +398,7 @@ def principal_normal_closures_from_scratch(G: FiniteGroup) -> list[Subgroup]:
     for rep in G.conjugacy_class_reps():
         if rep == 0:
             continue
-        P = normal_closure(G, [rep])
+        P = normal_closure(G, [rep], by=G.reduced_generator_ids())
         seen.setdefault(P.ids, P)
     return sorted(seen.values(), key=lambda S: (S.order, S.sorted_ids))
 

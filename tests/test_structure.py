@@ -16,7 +16,7 @@ from gpi.structure import (
 )
 from gpi.sylow import cyclic_subgroups_of_order
 
-from oracles import brute_centralizer, brute_factor_centralizer, brute_normalizer
+from oracles import brute_center, brute_centralizer, brute_factor_centralizer, brute_normalizer
 
 cyc = Perm.from_cycles
 
@@ -89,10 +89,11 @@ def test_normal_closure(s4):
     t = s4.id_of_perm(cyc(4, [(0, 1)]))
     dd = s4.id_of_perm(cyc(4, [(0, 1), (2, 3)]))
     r3 = s4.id_of_perm(cyc(4, [(0, 1, 2)]))
-    assert normal_closure(s4, [t]).is_full
-    assert normal_closure(s4, [dd]).order == 4
-    assert normal_closure(s4, [r3]).order == 12
-    assert normal_closure(s4, []).is_trivial
+    gens = s4.reduced_generator_ids()
+    assert normal_closure(s4, [t], by=gens).is_full
+    assert normal_closure(s4, [dd], by=gens).order == 4
+    assert normal_closure(s4, [r3], by=gens).order == 12
+    assert normal_closure(s4, [], by=gens).is_trivial
     # Inside D8 = <(0 1 2 3), (0 2)> the reflection (0 2) is conjugate only to
     # (1 3); with nothing to conjugate by, the closure is <(0 2)>.
     r4 = s4.id_of_perm(cyc(4, [(0, 1, 2, 3)]))
@@ -143,9 +144,9 @@ def test_closure_respects_trivial_seeds(s4):
 
 @pytest.mark.parametrize("name", group_names())
 def test_p_residual_matches_a_conjugation_by_products_reference(name):
-    # normal_closure reads each conjugate off G's conjugation tables; the
-    # reference takes g^-1 x g with two products per reduced generator, in
-    # the same order, and gets the same ids and the same generators.
+    # p_residual reads O^p(G) off the normal lattice; the reference closes
+    # the elements of order prime to p under conjugation, g^-1 x g with two
+    # products per reduced generator, and must reach the same ids.
     G = build_group(name)
     gens = G.reduced_generator_ids()
     for p in factorize(G.n):
@@ -156,5 +157,10 @@ def test_p_residual_matches_a_conjugation_by_products_reference(name):
                 hgens.append(x)
                 H = closure_ids(G, hgens, prior=H)
                 todo.extend(G.conj(x, g) for g in gens)
-        R = p_residual(G, p)
-        assert (R.ids, R.gens) == (H, hgens), p
+        assert p_residual(G, p).ids == H, p
+
+
+@pytest.mark.parametrize("name", group_names())
+def test_centre_matches_the_brute_centre(name):
+    G = build_group(name)
+    assert centre(G).ids == brute_center(G)
