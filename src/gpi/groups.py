@@ -11,8 +11,9 @@ and a subgroup is a canonical frozen set of ids.  All structural algorithms
 in the package are written once against that face.
 
 The orbit kernels read id tables built once per group and kept in `G.memo`,
-not products of single elements.  Only the first is made of products;
-the others are lookups into it:
+not products of single elements, and read a whole set through a table at
+once: `itemgetter(*S)(t)` gathers the image of S with one C call.  Only
+the first table is made of products; the others are lookups into it:
 
 - `right_tables`: one table x -> x g per reduced generator g, n ids each,
   at n products per generator; a `PermGroup` reads them off its
@@ -27,7 +28,8 @@ the others are lookups into it:
   element orders are a class function, read off one power walk per class;
 - `left_cosets`: one left-coset numbering per subgroup id-set a product,
   quotient or factor check is taken by, n labels and one representative
-  per coset, walked over the translation tables at n lookups;
+  per coset, walked over the translation tables with one `itemgetter`
+  call per coset gathering its image;
 - `coset_conjugation_tables`: for a normal subgroup K, one table per
   reduced generator over the |G:K| coset numbers, read off the two above.
 
@@ -299,10 +301,12 @@ class FiniteGroup:
         cosets are the orbit of `right` under the translation tables: an
         image is a new coset when its first member is unlabelled (Holt,
         Eick & O'Brien, Handbook of Computational Group Theory, 2005, §4).
-        Costs one lookup per id and one per coset and table, and no
-        products once the translation tables exist; once per group and
-        id-set.  The cosets of the trivial subgroup are the ids themselves,
-        so that numbering is returned without a walk.
+        Costs one lookup per coset and table, plus one `itemgetter` call
+        that gathers each new coset's image, and no products once the
+        translation tables exist; once per group and id-set.  The cosets of
+        the trivial subgroup are the ids themselves, so that numbering is
+        returned without a walk; every coset walked has two or more
+        members, so each gather is a tuple.
         """
         if len(right) == 1:
             ids = tuple(range(self.n))
@@ -316,7 +320,7 @@ class FiniteGroup:
             for t in tables:
                 if labels[t[coset[0]]] < 0:
                     c = len(cosets)
-                    image = [t[y] for y in coset]
+                    image = itemgetter(*coset)(t)
                     for y in image:
                         labels[y] = c
                     cosets.append(image)

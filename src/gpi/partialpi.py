@@ -22,6 +22,8 @@ the first time a (K, meet) pair is asked and is remembered on the group.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .arith import is_pi_number, prime_set
 from .groups import FiniteGroup, FrozenRecord, Record, Subgroup, memo
 from .series import ChiefSeries, minimal_normal_overgroups
@@ -56,17 +58,22 @@ def factor_condition(G: FiniteGroup, H: Subgroup, K: Subgroup, M: Subgroup) -> F
     """Test the factor M/K against H on the K-cosets of G.
 
     The meet (H meet M)K/K is read as the set of K-coset numbers that
-    H meet M hits, one lookup per element, so |meet| = cosets * |K| with
-    no id-set of that size built.  A meet equal to K or M is normal and
-    has index 1; any other meet's index is its normalizer orbit in G/K,
-    run once per group and query (`_normalizer_index`).
+    H meet M hits, gathered from the coset labels by one `itemgetter`
+    call, so |meet| = cosets * |K| with no id-set of that size built.  A
+    meet equal to K or M is normal and has index 1; any other meet's
+    index is its normalizer orbit in G/K, run once per group and query
+    (`_normalizer_index`).
     """
+    if not (H.group is G and K.group is G and M.group is G):
+        raise ValueError("subgroup belongs to a different group")
     hm = H.ids & M.ids
     if K.is_trivial:
         meet, modulus = hm, None
     else:
         labels = G.left_cosets(K.ids)[0]
-        meet, modulus = frozenset(map(labels.__getitem__, hm)), K.ids
+        # H meet M holds the identity, so asking for id 0 as well changes
+        # no set and keeps the gather a tuple when the meet is trivial.
+        meet, modulus = frozenset(itemgetter(0, *hm)(labels)), K.ids
     meet_order = len(meet) * K.order
     if meet_order == K.order or meet_order == M.order:
         return _factor_check(G, K.order, M.order, meet_order, 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from operator import itemgetter
 
 from .arith import factorize, p_part
 from .groups import FiniteGroup, Subgroup, closure_ids
@@ -26,25 +27,26 @@ def normalizer_index(G: FiniteGroup, ids: frozenset, *, modulus: frozenset | Non
     is |G/K : N_{G/K}(H/K)| = |G : N_G(H)|.
 
     This is the hot path of the factor checks: no normalizer is materialised,
-    and each orbit point costs one lookup per element (or coset) of H in
-    each table.
+    and each orbit point costs one `itemgetter` over its members, applied
+    to each table, so every image is gathered by one C call.  An orbit
+    point of one member is gathered with that member asked twice, since
+    `itemgetter` of a single index returns the entry rather than a tuple.
     """
     if modulus is None:
         tables = G.conjugation_tables()
     else:
         tables = G.coset_conjugation_tables(modulus)
+    gatherer = itemgetter if len(ids) > 1 else lambda x: itemgetter(x, x)
     seen = {ids}
-    frontier = [ids]
-    while frontier:
-        nxt = []
-        for S in frontier:
-            for t in tables:
-                T = frozenset(map(t.__getitem__, S))
-                if T not in seen:
-                    seen.add(T)
-                    nxt.append(T)
-        frontier = nxt
-    return len(seen)
+    orbit = [ids]
+    for S in orbit:  # grows while it is walked
+        gather = gatherer(*S)
+        for t in tables:
+            T = frozenset(gather(t))
+            if T not in seen:
+                seen.add(T)
+                orbit.append(T)
+    return len(orbit)
 
 
 def centralizer(G: FiniteGroup, elems) -> Subgroup:

@@ -280,6 +280,20 @@ def test_foreign_subgroup_rejected():
         satisfies_partial_pi(S4, D8.full_subgroup())
 
 
+def test_factor_condition_rejects_a_subgroup_of_another_handle():
+    # Two fresh handles of S4 number their elements alike, so a subgroup of
+    # one would read as a subgroup of the other; each argument is checked.
+    G, other = build_group("S4", fresh=True), build_group("S4", fresh=True)
+    triv, a4 = G.trivial_subgroup(), p_residual(G, 2)
+    v4 = sylow_subgroup(G, 2, within=a4)
+    assert factor_condition(G, a4, triv, v4).passed
+    for args in ((other.full_subgroup(), triv, v4),
+                 (a4, other.trivial_subgroup(), v4),
+                 (a4, triv, sylow_subgroup(other, 2, within=p_residual(other, 2)))):
+        with pytest.raises(ValueError, match="different group"):
+            factor_condition(G, *args)
+
+
 def test_within_restricts_the_ambient_group():
     S4 = build_group("S4")
     v4 = sylow_subgroup(S4, 2, within=p_residual(S4, 2))

@@ -1,10 +1,10 @@
 import pytest
 
 from gpi.arith import factorize
-from gpi.catalog import build_group, group_names
+from gpi.catalog import build_group, from_description, group_names
 from gpi.groups import Subgroup, closure_ids
 from gpi.perm import Perm
-from gpi.series import minimal_normal_overgroups
+from gpi.series import minimal_normal_overgroups, normal_subgroups
 from gpi.structure import (
     centralizer,
     centre,
@@ -61,6 +61,32 @@ def test_normalizer_index_equals_orbit_free_count(s4, s4_probes):
         assert idx == big.n // len(brute_normalizer(big, H.ids)), H
         seen.add(idx)
     assert seen == {1, 3, 625}
+    # With `modulus=` the orbit runs on K-coset numbers: a line L outside a
+    # minimal normal K (order 25) gives HK = LK of order 125, whose coset
+    # numbers must have the id-level index of HK.
+    labels = big.left_cosets(plane.ids)[0]
+    line = next(L for L in cyclic_subgroups_of_order(big, 5) if not L.ids <= plane.ids)
+    hk = big.generated(plane.gens + line.gens)
+    cosets = frozenset(labels[x] for x in hk.ids)
+    assert len(cosets) == 5
+    idx = normalizer_index(big, cosets, modulus=plane.ids)
+    assert idx == big.n // len(brute_normalizer(big, hk.ids)) == 3
+    # A one-coset query (H <= K) is the normal subgroup K itself.
+    assert normalizer_index(big, frozenset((0,)), modulus=plane.ids) == 1
+    # K = A7 in S7: HK is A7 (one coset) or S7 (both), normal either way.
+    # brute_normalizer would make 12.7 M conjugations of A7 alone, so the
+    # id-level index of HK is read off S7's generators instead: the
+    # normalizer is a subgroup, so it is S7 when they all normalize HK.
+    s7 = from_description({"type": "perm", "degree": 7,
+                           "generators": [[list(range(7))], [[0, 1]]]})
+    a7 = next(N for N in normal_subgroups(s7) if N.order == 2520)
+    labels = s7.left_cosets(a7.ids)[0]
+    for H in (cyclic_subgroups_of_order(s7, 3)[0], cyclic_subgroups_of_order(s7, 2)[0]):
+        hk = s7.generated(a7.gens + H.gens)
+        cosets = frozenset(labels[x] for x in hk.ids)
+        assert len(cosets) == hk.order // 2520
+        assert all({s7.conj(x, g) for x in hk.ids} == hk.ids for g in s7.generator_ids)
+        assert normalizer_index(s7, cosets, modulus=a7.ids) == 1
 
 
 def test_centralizer_and_centre(s4):
