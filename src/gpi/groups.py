@@ -382,7 +382,10 @@ class FiniteGroup:
 
     # -- subgroup constructors ------------------------------------------------
 
+    @memo
     def trivial_subgroup(self) -> "Subgroup":
+        """The trivial subgroup, one handle per group (its `gens` are
+        handed out as a fresh empty list)."""
         return Subgroup(self, (0,), gens=())
 
     @memo

@@ -59,26 +59,27 @@ def factor_condition(G: FiniteGroup, H: Subgroup, K: Subgroup, M: Subgroup) -> F
 
     The meet (H meet M)K/K is read as the set of K-coset numbers that
     H meet M hits, gathered from the coset labels by one `itemgetter`
-    call, so |meet| = cosets * |K| with no id-set of that size built.  A
+    call, so |meet| = cosets * |K| with no id-set of that size built.  The
+    orders |K| and |M| are read once, as the sizes of their id-sets.  A
     meet equal to K or M is normal and has index 1; any other meet's
     index is its normalizer orbit in G/K, run once per group and query
     (`_normalizer_index`).
     """
     if not (H.group is G and K.group is G and M.group is G):
         raise ValueError("subgroup belongs to a different group")
+    k, m = len(K.ids), len(M.ids)
     hm = H.ids & M.ids
-    if K.is_trivial:
+    if k == 1:
         meet, modulus = hm, None
     else:
         labels = G.left_cosets(K.ids)[0]
         # H meet M holds the identity, so asking for id 0 as well changes
         # no set and keeps the gather a tuple when the meet is trivial.
         meet, modulus = frozenset(itemgetter(0, *hm)(labels)), K.ids
-    meet_order = len(meet) * K.order
-    if meet_order == K.order or meet_order == M.order:
-        return _factor_check(G, K.order, M.order, meet_order, 1)
-    idx = _normalizer_index(G, modulus, meet)
-    return _factor_check(G, K.order, M.order, meet_order, idx)
+    meet_order = len(meet) * k
+    if meet_order == k or meet_order == m:
+        return _factor_check(G, k, m, meet_order, 1)
+    return _factor_check(G, k, m, meet_order, _normalizer_index(G, modulus, meet))
 
 
 @memo
@@ -139,9 +140,9 @@ class PiRefusal(Record):
     """Proof that no chief series works: every maximal normal chain from
     the trivial subgroup runs into a blocked term.
 
-    `blocked` maps each explored term to the checks of all its chief
-    factors; entries that passed lead to terms that are blocked too.  The
-    repr leaves it out.
+    `blocked` pairs each explored term, the handle the search held for
+    it, with the checks of all its chief factors; entries that passed
+    lead to terms that are blocked too.  The repr leaves it out.
     """
 
     __slots__ = ("group", "subgroup", "blocked")
@@ -182,14 +183,16 @@ def satisfies_partial_pi(G: FiniteGroup, H: Subgroup):
     Depth-first search over the chief series tree: steps from a term K go
     to its minimal normal overgroups, one at a time.  Terms from which no
     passing completion exists are memoised, so each is expanded once;
-    when the trivial term is among them, their checks are the refusal.
+    when the trivial term is among them, their handles and checks are the
+    refusal, with no subgroup rebuilt.
     """
     if H.group is not G:
         raise ValueError("subgroup belongs to a different group")
-    dead: dict[frozenset[int], list[FactorCheck]] = {}
+    n = G.n
+    dead: dict[frozenset[int], tuple[Subgroup, list[FactorCheck]]] = {}
 
     def explore(state: Subgroup, terms: list[Subgroup], checks: list[FactorCheck]):
-        if state.is_full:
+        if len(state.ids) == n:
             return PiWitness(G, H, terms, checks)
         seen: list[FactorCheck] = []
         for M in minimal_normal_overgroups(G, state):
@@ -200,12 +203,12 @@ def satisfies_partial_pi(G: FiniteGroup, H: Subgroup):
             found = explore(M, terms + [M], checks + [fc])
             if found is not None:
                 return found
-        dead[state.ids] = seen
+        dead[state.ids] = (state, seen)
         return None
 
     trivial = G.trivial_subgroup()
     found = explore(trivial, [trivial], [])
     if found is not None:
         return found
-    states = sorted(dead, key=lambda ids: (len(ids), sorted(ids)))
-    return PiRefusal(G, H, [(Subgroup(G, ids), dead[ids]) for ids in states])
+    blocked = sorted(dead.values(), key=lambda entry: (len(entry[0].ids), sorted(entry[0].ids)))
+    return PiRefusal(G, H, blocked)

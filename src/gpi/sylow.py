@@ -22,7 +22,8 @@ found from a pair of its generators' preimages and the relators of Q8.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
+from math import gcd
 from operator import add
 
 from .arith import factorize, p_part
@@ -99,12 +100,13 @@ def _cyclic_subgroups(X) -> dict[int, list[Subgroup]]:
 
     One scan in id order: an element whose cyclic subgroup was listed
     earlier generates it, so it is skipped; a new subgroup is listed by
-    successive powers of its first element, and its generators (its
-    elements of its order, read off the element-order tuple) are marked.
+    successive powers x^j of its first element x, and its generators are
+    marked: x^j generates it when gcd(j, k) = 1 for k = o(x), a mask made
+    once per order.
     """
     G, sub = _ambient(X)
-    order = G.element_order
     seen: set[int] = set()
+    masks: dict[int, list[bool]] = {}
     out: dict[int, list[Subgroup]] = {}
     for x in sorted(sub.ids):
         if x in seen:
@@ -114,8 +116,11 @@ def _cyclic_subgroups(X) -> dict[int, list[Subgroup]]:
         while y:
             ids.append(y)
             y = G.mul(y, x)
-        k = order(x)
-        seen.update(y for y in ids if order(y) == k)
+        k = G.element_order(x)
+        mask = masks.get(k)
+        if mask is None:
+            mask = masks[k] = [gcd(j, k) == 1 for j in range(k)]
+        seen.update(compress(ids, mask))
         out.setdefault(k, []).append(Subgroup(G, ids, gens=[x]))
     for subs in out.values():
         subs.sort(key=lambda s: s.sorted_ids)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import gpi
-from gpi import structure
+from gpi import partialpi, structure
 from gpi import verify as verify_mod
 from gpi.catalog import build_group
 from gpi.cli import main
@@ -574,3 +575,39 @@ def test_engine_calls_normalizer_index_as_the_tracer_unpacks_it(monkeypatch):
     assert calls
     assert all(len(args) == 2 and set(kwargs) <= {"modulus"} for args, kwargs in calls)
     assert any(kwargs.get("modulus") is not None for _, kwargs in calls)
+
+
+def test_search_checks_factors_through_the_name_the_tracer_wraps(monkeypatch):
+    # perfbench/tracer.py counts factor checks by wrapping the module-level
+    # name `gpi.partialpi.factor_condition`, so the search must make every
+    # check through it: a refusal lists each check it made, a witness at
+    # least the checks on its series.
+    calls = [0]
+    check = partialpi.factor_condition
+
+    def counted(*args):
+        calls[0] += 1
+        return check(*args)
+
+    monkeypatch.setattr(partialpi, "factor_condition", counted)
+    kinds = set()
+    for name in ("S4", "A5", "SL(2,3)", "5^4:3"):
+        G = build_group(name, fresh=True)
+        for k in {G.element_order(x) for x in range(G.n)}:
+            for H in cyclic_subgroups_of_order(G, k):
+                calls[0] = 0
+                v = satisfies_partial_pi(G, H)
+                kinds.add(v.satisfied)
+                if v.satisfied:
+                    assert calls[0] >= len(v.checks), (name, H.sorted_ids)
+                else:
+                    assert calls[0] == sum(len(cs) for _, cs in v.blocked), (name, H.sorted_ids)
+    assert kinds == {True, False}
+
+
+def test_corpus_json_keeps_its_digest(capsys):
+    # Perf changes must leave every theorem report byte-identical.
+    assert main(["corpus", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "b08085f470ed19f4e49fc99c848e3edf26fef52b4925ea23efce081230ad4a27"

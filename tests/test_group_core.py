@@ -699,6 +699,15 @@ def test_full_subgroup_is_one_handle_sized_for_its_ids():
     assert full.gens == G.reduced_generator_ids()
 
 
+def test_trivial_subgroup_is_one_handle_with_private_gens():
+    G = build_group("S4", fresh=True)
+    triv = G.trivial_subgroup()
+    assert G.trivial_subgroup() is triv and triv.ids == frozenset((0,))
+    assert triv.gens == []
+    triv.gens.append(5)
+    assert triv.gens == [] and G.trivial_subgroup().gens == []
+
+
 def _record_cases():
     G = s3()
     H, T = G.full_subgroup(), G.trivial_subgroup()

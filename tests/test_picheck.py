@@ -242,6 +242,21 @@ def test_big_group_sample_verdicts():
     assert not res.satisfied
 
 
+def test_refusal_holds_the_handles_the_search_explored():
+    # A line of 5^4 is blocked at the trivial term and at each of the 25
+    # minimal normal subgroups the search stepped into; the refusal keeps
+    # those very handles, with none rebuilt.
+    G = build_group("5^4:3", fresh=True)
+    line = cyclic_subgroups_of_order(G, 5)[0]
+    res = satisfies_partial_pi(G, line)
+    assert not res.satisfied and res.explored == 26
+    assert [b["at"] for b in res.to_json()["blocked"]] == [1] + [25] * 25
+    states = [state for state, _ in res.blocked]
+    assert states[0] is G.trivial_subgroup()
+    steps = minimal_normal_overgroups(G, G.trivial_subgroup())
+    assert all(any(state is N for N in steps) for state in states[1:])
+
+
 def test_witness_replay_detects_tampering():
     G = build_group("SL(2,5)")
     wit = satisfies_partial_pi(G, centre(G))
