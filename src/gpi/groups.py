@@ -125,7 +125,11 @@ def memo(fn):
     the key.  So that one entry answers one call shape, `fn` must take no
     defaults, keyword-only parameters, *args or **kwargs, and is called by
     position only (a keyword call raises `TypeError`).  A stored list is
-    handed out as a shallow copy, so callers may mutate what they get.
+    handed out as a shallow copy, so callers may mutate what they get; a
+    stored tuple, or any other value, is handed out as the stored object,
+    so a function whose callers only read its sequence returns a tuple and
+    its hits copy nothing.  A function's table is made on its first miss
+    that returns, so a hit builds no empty table to throw away.
     """
     code = fn.__code__
     if code.co_flags & 0x0C or code.co_kwonlyargcount or fn.__defaults__:  # 0x0C: *args, **kwargs
@@ -139,11 +143,11 @@ def memo(fn):
             owner, key = first.group, (first, *rest)
         else:
             owner, key = first, rest
-        table = owner.memo.setdefault(name, {})
         try:
-            got = table[key]
+            got = owner.memo[name][key]
         except KeyError:
-            got = table[key] = fn(first, *rest)
+            got = fn(first, *rest)
+            owner.memo.setdefault(name, {})[key] = got
         return list(got) if type(got) is list else got
 
     return wrapper

@@ -15,9 +15,12 @@ its normalizer orbit in G/K runs on those numbers through the coset
 conjugation tables of K (`G.coset_conjugation_tables`).  Over a trivial
 K the cosets are the ids themselves and the orbit runs on ids.
 
-The index depends on H only through that meet, and distinct subgroups
-often share one, so it is made once per group and query: the orbit runs
-the first time a (K, meet) pair is asked and is remembered on the group.
+The check depends on H only through that meet, and distinct subgroups
+often share one, so it is made once per group and query: a meet equal to
+K or M needs no orbit, and one table on the group holds every other check
+by (K's ids, M's ids, meet), filled the first time a query misses it.  A
+refusal must show every chain blocked, so it repeats the checks of many
+earlier verdicts; each costs one meet read-off and one lookup.
 """
 
 from __future__ import annotations
@@ -59,35 +62,42 @@ def factor_condition(G: FiniteGroup, H: Subgroup, K: Subgroup, M: Subgroup) -> F
 
     The meet (H meet M)K/K is read as the set of K-coset numbers that
     H meet M hits, gathered from the coset labels by one `itemgetter`
-    call, so |meet| = cosets * |K| with no id-set of that size built.  The
-    orders |K| and |M| are read once, as the sizes of their id-sets.  A
-    meet equal to K or M is normal and has index 1; any other meet's
-    index is its normalizer orbit in G/K, run once per group and query
-    (`_normalizer_index`).
+    call, so |meet| = cosets * |K| with no id-set of that size built, and
+    |K| and |M| are the sizes of their id-sets.  A meet equal to K or M is
+    normal and has index 1.  Any other check is made once per group and
+    query: it is stored in `G.memo["factor_condition"]` under (K's ids,
+    M's ids, meet), and a miss runs the meet's normalizer orbit in G/K
+    (`normalizer_index`).  Checks of equal value are one object
+    (`_factor_check`), so equal queries return the same `FactorCheck`.
+
+    The shortcuts stay outside the table: equal chief terms reached from
+    different terms are distinct handles, and a lookup under an equal but
+    distinct id-set compares it member by member, which on the order-625
+    term of `5^4:3` costs more than the shortcut itself.
     """
     if not (H.group is G and K.group is G and M.group is G):
         raise ValueError("subgroup belongs to a different group")
-    k, m = len(K.ids), len(M.ids)
-    hm = H.ids & M.ids
-    if k == 1:
-        meet, modulus = hm, None
+    k_ids, m_ids = K.ids, M.ids
+    hm = H.ids & m_ids
+    if len(k_ids) == 1:
+        meet = hm
     else:
-        labels = G.left_cosets(K.ids)[0]
         # H meet M holds the identity, so asking for id 0 as well changes
         # no set and keeps the gather a tuple when the meet is trivial.
-        meet, modulus = frozenset(itemgetter(0, *hm)(labels)), K.ids
+        meet = frozenset(itemgetter(0, *hm)(G.left_cosets(k_ids)[0]))
+    k, m = len(k_ids), len(m_ids)
     meet_order = len(meet) * k
     if meet_order == k or meet_order == m:
         return _factor_check(G, k, m, meet_order, 1)
-    return _factor_check(G, k, m, meet_order, _normalizer_index(G, modulus, meet))
-
-
-@memo
-def _normalizer_index(G: FiniteGroup, modulus: frozenset | None, meet: frozenset) -> int:
-    """The orbit size of `normalizer_index`, made once per group and query:
-    `modulus` is None over a trivial K and K's ids otherwise, `meet` the
-    ids or K-coset numbers that `factor_condition` forms."""
-    return normalizer_index(G, meet, modulus=modulus)
+    checks = G.memo.get("factor_condition")
+    if checks is None:
+        checks = G.memo["factor_condition"] = {}
+    query = (k_ids, m_ids, meet)
+    check = checks.get(query)
+    if check is None:
+        index = normalizer_index(G, meet, modulus=None if k == 1 else k_ids)
+        check = checks[query] = _factor_check(G, k, m, meet_order, index)
+    return check
 
 
 @memo
@@ -112,8 +122,8 @@ class PiWitness(Record):
 
     def verify(self) -> bool:
         """Revalidate the series and recompute every factor check; each
-        orbit runs once per group and query, so a replay on the deciding
-        handle reads the indices the search made."""
+        check is made once per group and query, so a replay on the deciding
+        handle reads the checks the search made."""
         try:
             self.series().validate()
         except ValueError:
@@ -184,7 +194,7 @@ def satisfies_partial_pi(G: FiniteGroup, H: Subgroup):
     to its minimal normal overgroups, one at a time.  Terms from which no
     passing completion exists are memoised, so each is expanded once;
     when the trivial term is among them, their handles and checks are the
-    refusal, with no subgroup rebuilt.
+    refusal, with no subgroup rebuilt, ordered by (order, sorted ids).
     """
     if H.group is not G:
         raise ValueError("subgroup belongs to a different group")
@@ -210,5 +220,10 @@ def satisfies_partial_pi(G: FiniteGroup, H: Subgroup):
     found = explore(trivial, [trivial], [])
     if found is not None:
         return found
-    blocked = sorted(dead.values(), key=lambda entry: (len(entry[0].ids), sorted(entry[0].ids)))
-    return PiRefusal(G, H, blocked)
+    # Refusals on one group block the same few terms again and again, so
+    # each term's sort key, (order, sorted ids), is made once per group.
+    keys = G.memo.setdefault("satisfies_partial_pi.blocked_keys", {})
+    for ids in dead:
+        if ids not in keys:
+            keys[ids] = (len(ids), sorted(ids))
+    return PiRefusal(G, H, [dead[ids] for ids in sorted(dead, key=keys.__getitem__)])

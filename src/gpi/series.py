@@ -70,8 +70,10 @@ def _join_normal(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
 
 
 @memo
-def minimal_normal_overgroups(G: FiniteGroup, N: Subgroup) -> list[Subgroup]:
-    """Normal subgroups M > N with nothing normal strictly between.
+def minimal_normal_overgroups(G: FiniteGroup, N: Subgroup) -> tuple[Subgroup, ...]:
+    """Normal subgroups M > N with nothing normal strictly between, ordered
+    by (order, sorted ids).  The tuple is the memo's own, handed out
+    uncopied, since every series walk only reads it.
 
     Every normal overgroup of N contains the closure of one of its elements,
     so the inclusion-minimal joins N v P over principal closures P are exactly
@@ -94,7 +96,7 @@ def minimal_normal_overgroups(G: FiniteGroup, N: Subgroup) -> list[Subgroup]:
         J = _join_normal(G, N, P)
         if not any(S.ids <= J.ids for S in out):
             out.append(J)
-    return sorted(out, key=lambda S: (S.order, S.sorted_ids))
+    return tuple(sorted(out, key=lambda S: (S.order, S.sorted_ids)))
 
 
 @memo

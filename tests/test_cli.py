@@ -22,7 +22,7 @@ from gpi.catalog import build_group
 from gpi.cli import main
 from gpi.partialpi import satisfies_partial_pi
 from gpi.perm import Perm
-from gpi.sylow import cyclic_subgroups_of_order
+from gpi.sylow import cyclic_subgroups_of_order, sylow_subgroup, two_minimal_subgroups
 from gpi.verify import TheoremReport
 
 S3_DESC = json.dumps(
@@ -603,6 +603,42 @@ def test_search_checks_factors_through_the_name_the_tracer_wraps(monkeypatch):
                 else:
                     assert calls[0] == sum(len(cs) for _, cs in v.blocked), (name, H.sorted_ids)
     assert kinds == {True, False}
+
+
+def test_search_expands_each_state_once_through_the_name_the_tracer_wraps(monkeypatch):
+    # perfbench/tracer.py counts `partialpi.dfs_states` as the calls to the
+    # module-level name `gpi.partialpi.minimal_normal_overgroups` made inside
+    # a verdict, so the search must expand each non-full state it explores
+    # with exactly one call, however many checks it answers from the table.
+    expanded, checks = [], [0]
+    steps, check = partialpi.minimal_normal_overgroups, partialpi.factor_condition
+
+    def counted_steps(G, N):
+        expanded.append(N.ids)
+        return steps(G, N)
+
+    def counted_check(*args):
+        checks[0] += 1
+        return check(*args)
+
+    monkeypatch.setattr(partialpi, "minimal_normal_overgroups", counted_steps)
+    monkeypatch.setattr(partialpi, "factor_condition", counted_check)
+    G = build_group("5^4:3", fresh=True)
+    P = sylow_subgroup(G, 5)
+    # A line is blocked at 1 (26 steps) and at each of the 25 planes it
+    # steps into (one step each): 26 states and 51 checks, on every line.
+    for line in cyclic_subgroups_of_order(P, 5)[:3]:
+        expanded.clear()
+        checks[0] = 0
+        res = satisfies_partial_pi(G, line)
+        assert not res.satisfied
+        assert len(expanded) == len(set(expanded)) == 26 and checks[0] == 51
+        assert expanded[0] == G.trivial_subgroup().ids
+        assert set(expanded) == {state.ids for state, _ in res.blocked}
+    for plane in two_minimal_subgroups(P, 5)[:20]:
+        expanded.clear()
+        wit = satisfies_partial_pi(G, plane)
+        assert wit.satisfied and expanded == [t.ids for t in wit.terms[:-1]]
 
 
 def test_corpus_json_keeps_its_digest(capsys):

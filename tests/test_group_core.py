@@ -777,9 +777,24 @@ def test_memo_keys_positional_calls_only():
         calls.append(x)
         return [x]
 
+    @groups.memo
+    def g(G, x):
+        if x < 0:
+            raise ValueError(x)
+        return (x,)
+
     G = s3()
     assert f(G, 1) == f(G, 1) == [1] and calls == [1]
     assert list(G.memo[f.__qualname__]) == [(1,)]
+    # A stored list is handed out as a copy, a stored tuple as itself.
+    got = f(G, 1)
+    got.append(2)
+    assert f(G, 1) == [1] and G.memo[f.__qualname__][(1,)] == [1]
+    # A function's table is made on its first miss that returns.
+    with pytest.raises(ValueError):
+        g(G, -1)
+    assert g.__qualname__ not in G.memo
+    assert g(G, 5) is g(G, 5) is G.memo[g.__qualname__][(5,)]
     # A keyword call, or a call with one argument too many or too few, is
     # refused whether or not its positional head is stored, and stores nothing.
     for bad in [lambda: f(G, x=1), lambda: f(G, x=2), lambda: f(G=G, x=1),

@@ -8,7 +8,7 @@ import pytest
 from gpi import partialpi
 from gpi.arith import is_pi_number, prime_set
 from gpi.catalog import build_group
-from gpi.groups import Subgroup, semidirect_product
+from gpi.groups import Subgroup, product_ids, semidirect_product
 from gpi.partialpi import (
     FactorCheck,
     PiRefusal,
@@ -255,6 +255,40 @@ def test_refusal_holds_the_handles_the_search_explored():
     assert states[0] is G.trivial_subgroup()
     steps = minimal_normal_overgroups(G, G.trivial_subgroup())
     assert all(any(state is N for N in steps) for state in states[1:])
+
+
+def test_warm_handle_verdicts_match_fresh_ones():
+    # One handle decides every line of 5^4 and 100 of its planes, so later
+    # verdicts are answered from the checks earlier ones stored; a fresh
+    # handle decides them in reverse order and writes the same JSON.
+    def population(G):
+        P = sylow_subgroup(G, 5)
+        return cyclic_subgroups_of_order(P, 5) + two_minimal_subgroups(P, 5)[:100]
+
+    warm, fresh = build_group("5^4:3", fresh=True), build_group("5^4:3", fresh=True)
+    subs, again = population(warm), population(fresh)[::-1]
+    assert [H.ids for H in subs] == [H.ids for H in again[::-1]]
+    hot = [satisfies_partial_pi(warm, H) for H in subs]
+    cold = [satisfies_partial_pi(fresh, H) for H in again][::-1]
+    assert [v.to_json() for v in hot] == [v.to_json() for v in cold]
+    refused = [v for v in hot if not v.satisfied]
+    assert len(refused) == 156 and all(not v.satisfied for v in hot[:156])
+    for v in refused:
+        keys = [(len(state.ids), sorted(state.ids)) for state, _ in v.blocked]
+        assert keys == sorted(keys)
+    # Equal (K, M, meet) queries share one check: two lines outside a
+    # minimal normal N meet it trivially, and two lines in the same
+    # 3-space over N meet the step N < P in the same N-cosets.
+    G = warm
+    triv, lines = G.trivial_subgroup(), subs[:156]
+    N = minimal_normal_overgroups(G, triv)[0]
+    P = minimal_normal_overgroups(G, N)[0]
+    a, b = [L for L in lines if not L.ids <= N.ids][:2]
+    assert factor_condition(G, a, triv, N) is factor_condition(G, b, triv, N)
+    aN = product_ids(G, a.ids, N.ids)
+    c = next(L for L in lines if L.ids <= aN and L.ids != a.ids and not L.ids <= N.ids)
+    fc = factor_condition(G, a, N, P)
+    assert fc.meet_order == 125 and fc is factor_condition(G, c, N, P)
 
 
 def test_witness_replay_detects_tampering():
