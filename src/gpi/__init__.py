@@ -20,7 +20,6 @@ from .formations import f_hypercenter
 from .groups import (
     FiniteGroup,
     LimitExceeded,
-    Limits,
     PermGroup,
     Subgroup,
     TableGroup,
@@ -87,7 +86,6 @@ __all__ = [
     "is_soluble",
     "is_supersoluble",
     "LimitExceeded",
-    "Limits",
     "maximal_subgroups_of_p_group",
     "normal_subgroups",
     "one_chief_series",

@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from array import array
 
+from . import groups
 from .groups import (
-    DEFAULT_LIMITS,
     FiniteGroup,
     LimitExceeded,
     PermGroup,
@@ -221,11 +221,9 @@ def _from_description(desc, where: str) -> FiniteGroup:
         degree = get("degree")
         if type(degree) is not int or degree < 1:
             raise ValueError(f"{where}degree must be a positive integer, got {degree!r}")
-        if degree > DEFAULT_LIMITS.max_degree:
+        if degree > groups.MAX_DEGREE:
             # Checked here because every generator allocates `degree` images.
-            raise LimitExceeded(
-                f"degree {degree} exceeds the ceiling {DEFAULT_LIMITS.max_degree}"
-            )
+            raise LimitExceeded(f"degree {degree} exceeds the ceiling {groups.MAX_DEGREE}")
         gens = [cyc(degree, g) for g in _cycle_lists(get("generators"), where + "generators")]
         return PermGroup(gens, degree=degree, name=name(f"perm{degree}"))
     if kind == "semidirect":

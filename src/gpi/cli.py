@@ -27,6 +27,7 @@ from typing import Sequence
 
 from .arith import is_prime, prime_set
 from .catalog import corpus_names, from_description, group_names
+from . import groups
 from .groups import FiniteGroup, LimitExceeded, PermGroup, Subgroup
 from .partialpi import satisfies_partial_pi
 from .perm import Perm
@@ -62,11 +63,11 @@ def _group(text: str) -> FiniteGroup:
     return from_description(text)
 
 
-def _prime(G: FiniteGroup, p: int) -> int:
+def _prime(p: int) -> int:
     # No accepted group has an order divisible by a prime above the element
     # ceiling.
-    if p > G.limits.max_elements:
-        raise ValueError(f"--prime {p} exceeds the element ceiling {G.limits.max_elements}")
+    if p > groups.MAX_ELEMENTS:
+        raise ValueError(f"--prime {p} exceeds the element ceiling {groups.MAX_ELEMENTS}")
     if not is_prime(p):
         raise ValueError(f"--prime wants a prime, got {p}")
     return p
@@ -188,7 +189,7 @@ def _cmd_check(args) -> int:
     if spec.startswith("family:"):
         if args.prime is None:
             raise ValueError("family subgroup specs need --prime")
-        subs = _family(G, _prime(G, args.prime), spec[len("family:"):])
+        subs = _family(G, _prime(args.prime), spec[len("family:"):])
     else:
         subs = [_subgroup_from_json(G, json.loads(spec))]
     verdicts = [satisfies_partial_pi(G, H) for H in subs]
@@ -217,7 +218,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_theorem(args) -> int:
     G = _group(args.group)
-    primes = [_prime(G, args.prime)] if args.prime is not None else None
+    primes = [_prime(args.prime)] if args.prime is not None else None
     normal = None
     if args.normal is not None:
         normal = _subgroup_from_json(G, json.loads(args.normal))

@@ -10,6 +10,14 @@ elements are the ids 0..n-1 with 0 the identity, `mul`/`inv` work on ids,
 and a subgroup is a canonical frozen set of ids.  All structural algorithms
 in the package are written once against that face.
 
+Two desk-scale ceilings are constants of this module, read when they are
+checked, so one assignment here moves every check: `MAX_DEGREE` bounds a
+permutation group's degree when the handle is made, and `MAX_ELEMENTS`
+bounds a permutation group's order (the stabilizer chain refuses it
+before anything is enumerated), a table group's order when the handle is
+made, and a semidirect product's order before its automorphism tables
+are built.  The subgroup scan bound sits beside `sylow.all_subgroups`.
+
 The orbit kernels read id tables built once per group and kept in `G.memo`,
 not products of single elements, and read a whole set through a table at
 once: `itemgetter(*S)(t)` gathers the image of S with one C call.  Only
@@ -93,27 +101,15 @@ class FrozenRecord(Record):
         return hash(self._values())
 
 
-class Limits(FrozenRecord):
-    """Desk-scale ceilings, each checked before the memory it guards is
-    allocated.  Raise them deliberately, not by accident.
-
-    `max_elements` bounds the order of every handle, a semidirect product's
-    before its automorphism tables are built; `max_degree` bounds
-    permutation groups only; `subgroup_scan_bound` bounds `all_subgroups`.
-    """
-
-    __slots__ = ("max_elements", "max_degree", "subgroup_scan_bound")
-
-    def __init__(self, max_elements: int = 1_000_000, max_degree: int = 4096,
-                 subgroup_scan_bound: int = 256):
-        self._fix(max_elements, max_degree, subgroup_scan_bound)
-
-
-DEFAULT_LIMITS = Limits()
+# Desk-scale ceilings (see the module docstring); raise them deliberately.
+MAX_ELEMENTS = 1_000_000  # the order of every handle, and of a semidirect product's tables
+MAX_DEGREE = 4096  # the degree of every permutation group
 
 
 class LimitExceeded(RuntimeError):
-    """The computation would overrun a configured desk-scale ceiling."""
+    """The computation would overrun a desk-scale ceiling: `MAX_ELEMENTS`
+    or `MAX_DEGREE` here, or `sylow.SUBGROUP_SCAN_BOUND`.  Each is checked
+    before the memory it guards is allocated."""
 
 
 def memo(fn):
@@ -163,8 +159,7 @@ class FiniteGroup:
     representatives, generator reduction, subgroup constructors) is shared.
     """
 
-    def __init__(self, limits: Limits | None = None, name: str = ""):
-        self.limits = limits or DEFAULT_LIMITS
+    def __init__(self, name: str = ""):
         self.name = name
         self.memo: dict[str, dict] = {}
         self._n: int | None = None
@@ -192,11 +187,6 @@ class FiniteGroup:
 
     def materialize(self) -> "FiniteGroup":
         if self._n is None:
-            if self.order() > self.limits.max_elements:
-                raise LimitExceeded(
-                    f"group of order {self.order()} exceeds the element ceiling "
-                    f"{self.limits.max_elements}"
-                )
             self._build()
         return self
 
@@ -565,7 +555,6 @@ class Subgroup:
             lambda a: to_new[ainv(domain[a])],
             gens=[to_new[g] for g in self.gens],
             label_fn=lambda a: amb.label(domain[a]),
-            limits=amb.limits,
             name=f"{amb.name}|{len(domain)}" if amb.name else f"sub{len(domain)}",
         )
         return sub, to_new
@@ -595,10 +584,9 @@ class PermGroup(FiniteGroup):
         self,
         gens,
         degree: int | None = None,
-        limits: Limits | None = None,
         name: str = "",
     ):
-        super().__init__(limits, name)
+        super().__init__(name)
         gens = list(gens)
         for g in gens:
             if not isinstance(g, Perm):
@@ -610,10 +598,8 @@ class PermGroup(FiniteGroup):
             degree = degrees.pop() if degrees else 1
         elif degrees and degrees.pop() != degree:
             raise ValueError("explicit degree disagrees with the generators")
-        if degree > self.limits.max_degree:
-            raise LimitExceeded(
-                f"degree {degree} exceeds the ceiling {self.limits.max_degree}"
-            )
+        if degree > MAX_DEGREE:
+            raise LimitExceeded(f"degree {degree} exceeds the ceiling {MAX_DEGREE}")
         self.degree = degree
         if degree < 2:  # itemgetter needs an index, and returns a scalar for one
             self.mul = lambda a, b: self._ids[tuple(self._els[b][x] for x in self._els[a])]
@@ -625,10 +611,10 @@ class PermGroup(FiniteGroup):
         self._right: dict[int, tuple[int, ...]] = {}
 
     def order(self) -> int:
-        """|G| from a stabilizer chain; a group past `max_elements` is refused
+        """|G| from a stabilizer chain; a group past `MAX_ELEMENTS` is refused
         as soon as a lower bound on its order passes the ceiling."""
         if self._order is None:
-            ceiling = self.limits.max_elements
+            ceiling = MAX_ELEMENTS
             got = bsgs.group_order([g.images for g in self._given], ceiling)
             if got > ceiling:
                 raise LimitExceeded(
@@ -638,6 +624,7 @@ class PermGroup(FiniteGroup):
         return self._order
 
     def _build(self) -> None:
+        order = self.order()  # refuses a group past the ceiling before enumerating it
         ident = tuple(range(self.degree))
         els = [ident]
         ids = {ident: 0}
@@ -657,10 +644,9 @@ class PermGroup(FiniteGroup):
         self._els = els
         self._ids = ids
         self._n = len(els)
-        if self._n != self.order():
+        if self._n != order:
             raise RuntimeError(
-                f"enumeration found {self._n} elements but the stabilizer chain says "
-                f"{self.order()}"
+                f"enumeration found {self._n} elements but the stabilizer chain says {order}"
             )
         inv = []
         for img in els:
@@ -734,12 +720,11 @@ class TableGroup(FiniteGroup):
         inv,
         gens=None,
         label_fn=None,
-        limits: Limits | None = None,
         name: str = "",
     ):
-        super().__init__(limits, name)
-        if n > self.limits.max_elements:
-            raise LimitExceeded(f"order {n} exceeds the element ceiling")
+        super().__init__(name)
+        if n > MAX_ELEMENTS:
+            raise LimitExceeded(f"order {n} exceeds the element ceiling {MAX_ELEMENTS}")
         if n < 1:
             raise ValueError("empty group")
         if mul(0, 0) != 0:
@@ -768,32 +753,35 @@ class TableGroup(FiniteGroup):
 
 
 def hom_from_generators(G: FiniteGroup, gen_images: list[int], target_mul, target_identity=0):
-    """Extend generator images to a map on all of G along a BFS from 1
-    (first in, first out, generators in order): each element's image is its
-    parent's image times the image of the generator that reached it.
+    """Extend generator images to a homomorphism on all of G, or raise
+    `ValueError` when they define none.
 
-    Returns the full image list; the caller decides what to validate.  The
-    extension is well defined only if the assignment really is a
-    homomorphism, so run `hom_defect` afterwards.
+    The walk is breadth first from 1 (first in, first out, generators in
+    order): each element's image is its parent's image times the image
+    given for the generator that reached it.  The walk meets every
+    (element, generator) pair once, and a pair whose product it has met
+    before is checked against the image given for that generator, so a
+    repeated generator's second image and an identity generator's image
+    are checked too.  Returns the full image list.
     """
     gens = G.generator_ids
     if len(gen_images) != len(gens):
         raise ValueError("one image per generator, in order, is required")
+    mul = G.mul
     phi: list = [None] * G.n
     phi[0] = target_identity
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g, img in zip(gens, gen_images):
-                b = G.mul(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    phi[b] = target_mul(phi[a], img)
-                    nxt.append(b)
-        frontier = nxt
-    if len(seen) != G.n:
+    walk = [0]
+    for a in walk:  # grows while it is walked
+        pa = phi[a]
+        for g, img in zip(gens, gen_images):
+            b = mul(a, g)
+            got = target_mul(pa, img)
+            if phi[b] is None:
+                phi[b] = got
+                walk.append(b)
+            elif phi[b] != got:
+                raise ValueError(f"element pair ({a}, {g}) breaks the homomorphism")
+    if len(walk) != G.n:
         raise ValueError("stored generators do not generate the group")
     return phi
 
@@ -811,7 +799,10 @@ def hom_defect(G: FiniteGroup, phi, target_mul) -> tuple[int, int] | None:
 # -- semidirect products -------------------------------------------------------------
 
 
-def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action, limits=None, name="") -> TableGroup:
+_KEPT = "a permutation group keeps the distinct non-identity ones"
+
+
+def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action, name="") -> TableGroup:
     """Build N x| Q from the action of Q's generators on N's generators.
 
     `action[i][j]` is the image of N's j-th generator under the automorphism
@@ -825,46 +816,39 @@ def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action, limits=None, name
     """
     N.materialize()
     Q.materialize()
-    limits = limits or N.limits
-    if N.n * Q.n > limits.max_elements:  # the automorphism tables hold |Q| * |N| ids
+    if N.n * Q.n > MAX_ELEMENTS:  # the automorphism tables hold |Q| * |N| ids
         raise LimitExceeded(f"semidirect product of order {N.n * Q.n} exceeds the "
-                            f"element ceiling {limits.max_elements}")
+                            f"element ceiling {MAX_ELEMENTS}")
     ngens = N.generator_ids
     qgens = Q.generator_ids
     if len(action) != len(qgens):
-        raise ValueError(f"need one action row per quotient generator ({len(qgens)})")
+        raise ValueError(f"need one action row per quotient generator: got {len(action)} rows, "
+                         f"and the quotient keeps {len(qgens)} of the generators given ({_KEPT})")
 
     base_auts = []
     for qi, row in enumerate(action):
         row = list(row)
         if len(row) != len(ngens):
-            raise ValueError(
-                f"action row {qi} has {len(row)} images; the normal part has {len(ngens)} generators"
-            )
+            raise ValueError(f"action row {qi} has {len(row)} images, and the normal part keeps "
+                             f"{len(ngens)} of the generators given ({_KEPT})")
         images = [N.id_of_perm(x) if isinstance(x, Perm) else x for x in row]
-        aut = hom_from_generators(N, images, N.mul)
-        bad = hom_defect(N, aut, N.mul)
-        if bad is not None:
-            raise ValueError(
-                f"action row {qi} does not define an endomorphism of the normal part; "
-                f"first failure at element pair {bad}"
-            )
+        try:
+            aut = hom_from_generators(N, images, N.mul)
+        except ValueError as err:
+            raise ValueError(f"action row {qi} does not define an endomorphism of the "
+                             f"normal part: {err}") from None
         if len(set(aut)) != N.n:
             raise ValueError(f"action row {qi} defines a non-bijective endomorphism")
         base_auts.append(aut)
 
-    # Extend q -> aut_q over all of Q, then verify that the extension is a
-    # homomorphism into Aut(N) (left action).
+    # Extend q -> aut_q over all of Q as a homomorphism into Aut(N) (left action).
     def compose(pa, ga):
         return [pa[x] for x in ga]
 
-    auts = hom_from_generators(Q, base_auts, compose, list(range(N.n)))
-    for q in range(Q.n):
-        for g, ga in zip(qgens, base_auts):
-            if auts[Q.mul(q, g)] != compose(auts[q], ga):
-                raise ValueError(
-                    f"action is not a homomorphism: quotient pair ({q}, {g}) misbehaves"
-                )
+    try:
+        auts = hom_from_generators(Q, base_auts, compose, list(range(N.n)))
+    except ValueError as err:
+        raise ValueError(f"action is not a homomorphism into Aut(normal part): {err}") from None
 
     qn, nmul, qmul, ninv, qinv = Q.n, N.mul, Q.mul, N.inv, Q.inv
 
@@ -888,7 +872,6 @@ def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action, limits=None, name
         inv,
         gens=[g * qn for g in ngens] + qgens,
         label_fn=label,
-        limits=limits,
         name=name,
     )
 
@@ -919,7 +902,6 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[TableGroup, tuple[int, ...]]:
         lambda a, b: labels[gmul(reps[a], reps[b])],
         lambda a: labels[ginv(reps[a])],
         gens=[c for c in dict.fromkeys(labels[g] for g in G.generator_ids) if c],
-        limits=G.limits,
         name=f"{G.name}/N{N.order}" if G.name else f"quotient{len(reps)}",
     )
     return quot, labels

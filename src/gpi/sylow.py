@@ -312,15 +312,17 @@ def two_maximal_subgroups_of_p_group(X) -> list[Subgroup]:
     return out
 
 
+SUBGROUP_SCAN_BOUND = 256  # the largest order `all_subgroups` scans
+
+
 @memo
 def all_subgroups(X) -> list[Subgroup]:
-    """Every subgroup, by adjoining one element at a time.  Exponential;
-    guarded by the scan bound in the group's limits."""
+    """Every subgroup, by adjoining one element at a time.  Exponential, so
+    a group past `SUBGROUP_SCAN_BOUND` elements is refused before the scan."""
     G, sub = _ambient(X)
-    if sub.order > G.limits.subgroup_scan_bound:
+    if sub.order > SUBGROUP_SCAN_BOUND:
         raise LimitExceeded(
-            f"subgroup scan over {sub.order} elements exceeds the bound "
-            f"{G.limits.subgroup_scan_bound}"
+            f"subgroup scan over {sub.order} elements exceeds the bound {SUBGROUP_SCAN_BOUND}"
         )
     members = sorted(sub.ids)
     found: dict[frozenset[int], list[int]] = {frozenset((0,)): []}

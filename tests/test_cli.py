@@ -289,6 +289,29 @@ def test_semidirect_description(capsys):
     assert data["abelian"] is False and data["supersoluble"] is True
 
 
+def test_semidirect_count_errors_name_the_kept_generators(capsys):
+    # A permutation group keeps its distinct non-identity generators: a
+    # repeated quotient generator, or an identity one in the normal part,
+    # is dropped, and the error says how many were kept.
+    flip, turn = [[0, 1]], [[0, 1, 2]]
+    cases = [
+        ({"type": "perm", "degree": 3, "generators": [turn]},
+         {"type": "perm", "degree": 2, "generators": [flip, flip]},
+         [[[[0, 2, 1]]]] * 2,
+         "need one action row per quotient generator: got 2 rows, and the quotient keeps 1 "
+         "of the generators given (a permutation group keeps the distinct non-identity ones)"),
+        ({"type": "perm", "degree": 3, "generators": [turn, []]}, "C2",
+         [[[[0, 2, 1]], []]],
+         "action row 0 has 2 images, and the normal part keeps 1 of the generators given "
+         "(a permutation group keeps the distinct non-identity ones)"),
+    ]
+    for normal, quotient, action, message in cases:
+        desc = {"type": "semidirect", "normal": normal, "quotient": quotient, "action": action}
+        code, out, err = run(capsys, "info", json.dumps(desc))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n", err
+
+
 def test_description_errors(capsys):
     code, _, err = run(capsys, "info", '{"type": "wedge"}')
     assert code == 2 and "unknown group description" in err
@@ -532,8 +555,8 @@ def test_public_names_resolve_once():
     # A cut that forgets its export would leave a name that fails on use;
     # a star import raises on any name of __all__ the package lacks.
     exec("from gpi import *", {})
-    assert len(set(gpi.__all__)) == len(gpi.__all__) == 47
-    for gone in ("normalizer", "derived_subgroup", "minimal_normal_subgroups"):
+    assert len(set(gpi.__all__)) == len(gpi.__all__) == 46
+    for gone in ("normalizer", "derived_subgroup", "minimal_normal_subgroups", "Limits"):
         assert gone not in gpi.__all__ and not hasattr(gpi, gone)
 
 

@@ -6,11 +6,11 @@ from collections import Counter
 
 import pytest
 
-from gpi import bsgs, groups
+from gpi import bsgs, catalog, groups
 from gpi.arith import factorize
 from gpi.catalog import build_group, from_description, group_names
+from gpi.cli import main
 from gpi.groups import (
-    Limits,
     LimitExceeded,
     PermGroup,
     Subgroup,
@@ -516,10 +516,10 @@ PINNED_ORDERS = {
 
 
 @pytest.mark.parametrize("name", [*group_names(), *AFFINE])
-def test_orders_agree_with_enumeration_up_to_the_ceiling(name):
+def test_orders_agree_with_enumeration_up_to_the_ceiling(name, monkeypatch):
     # The stabilizer chain's order is the enumerated one and the pinned one.
     # A ceiling one below it gets a lower bound above the ceiling, and a
-    # handle with that ceiling is refused before it enumerates anything.
+    # handle made under that ceiling is refused before it enumerates anything.
     G = affine_group(name) if name in AFFINE else build_group(name)
     assert G.order() == G.n == PINNED_ORDERS[name]
     if not isinstance(G, PermGroup):
@@ -528,7 +528,8 @@ def test_orders_agree_with_enumeration_up_to_the_ceiling(name):
     assert bsgs.group_order(gens) == bsgs.group_order(gens, G.n) == G.n
     if G.n > 1:
         assert G.n - 1 < bsgs.group_order(gens, G.n - 1) <= G.n
-        tight = PermGroup(map(G.perm, G.generator_ids), limits=Limits(max_elements=G.n - 1))
+        monkeypatch.setattr(groups, "MAX_ELEMENTS", G.n - 1)
+        tight = PermGroup(map(G.perm, G.generator_ids))
         with pytest.raises(LimitExceeded, match="order at least"):
             tight.materialize()
         assert tight._order is None and tight._n is None
@@ -578,6 +579,17 @@ def test_semidirect_rejects_bad_actions():
         semidirect_product(C3, C2, [])
 
 
+@pytest.mark.parametrize("gens,row", [([1, 1], [4, 1]), ([1, 0], [4, 3])])
+def test_semidirect_checks_every_given_image(gens, row):
+    # C5 on a repeated generator, or with the identity among its
+    # generators: x -> 4x is an automorphism, but the second image
+    # contradicts it (1 -> 1 for the same generator, 0 -> 3 for the
+    # identity), so the row defines no endomorphism.
+    C5 = TableGroup(5, lambda a, b: (a + b) % 5, lambda a: (-a) % 5, gens=gens)
+    with pytest.raises(ValueError, match="action row 0 does not define an endomorphism"):
+        semidirect_product(C5, cn_table(2), [row])
+
+
 def test_quotient_s4_by_klein():
     G = s4()
     v4 = G.generated(
@@ -606,22 +618,41 @@ def test_quotient_rejects_non_normal():
         quotient(G, H)
 
 
-def test_limits_are_enforced():
-    with pytest.raises(LimitExceeded):
-        PermGroup([cyc(5, [(0, 1)])], limits=Limits(max_degree=4))
-    with pytest.raises(LimitExceeded):
-        TableGroup(6, lambda a, b: (a + b) % 6, lambda a: (-a) % 6,
-                   limits=Limits(max_elements=4))
-    G = PermGroup([cyc(4, [(0, 1, 2, 3)]), cyc(4, [(0, 1)])], limits=Limits(max_elements=10))
-    with pytest.raises(LimitExceeded):
-        G.materialize()
-    small = PermGroup([cyc(4, [(0, 1, 2, 3)]), cyc(4, [(0, 1)])],
-                      limits=Limits(max_degree=4))
+def test_limits_are_enforced(monkeypatch, capsys):
+    # Each ceiling is read from gpi.groups when it is checked, so one patch
+    # of the two constants there trips every site, each before what it
+    # guards is allocated.
+    small, C3, C4 = s4(), cn_table(3), cn_table(4)
     v4 = small.generated(
         [small.id_of_perm(cyc(4, [(0, 1), (2, 3)])), small.id_of_perm(cyc(4, [(0, 2), (1, 3)]))]
     )
+    assert main(["check", "--group", "C3", "--prime", "11", "--subgroup", "family:sylow"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(groups, "MAX_DEGREE", 4)
+    monkeypatch.setattr(groups, "MAX_ELEMENTS", 10)
     # The degree ceiling bounds permutation groups only, not quotients.
     assert quotient(small, v4)[0].n == 6
+    with pytest.raises(LimitExceeded, match="degree 5 exceeds the ceiling 4"):
+        PermGroup([cyc(5, [(0, 1)])])
+    G = s4()
+    with pytest.raises(LimitExceeded, match=r"order at least \d+ exceeds the element ceiling 10"):
+        G.materialize()
+    assert G._order is None and G._n is None
+    with pytest.raises(LimitExceeded, match="order 12 exceeds the element ceiling 10"):
+        TableGroup(12, lambda a, b: (a + b) % 12, lambda a: (-a) % 12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the ceiling was checked")
+
+    monkeypatch.setattr(groups, "hom_from_generators", refuse)
+    with pytest.raises(LimitExceeded, match="order 12 exceeds the element ceiling 10"):
+        semidirect_product(C3, C4, [[1]])
+    monkeypatch.setattr(Perm, "from_cycles", refuse)
+    monkeypatch.setattr(catalog, "cyc", refuse)
+    with pytest.raises(LimitExceeded, match="degree 5 exceeds the ceiling 4"):
+        from_description({"type": "perm", "degree": 5, "generators": [[[0, 1]]]})
+    assert main(["check", "--group", "C3", "--prime", "11", "--subgroup", "family:sylow"]) == 2
+    assert "--prime 11 exceeds the element ceiling 10" in capsys.readouterr().err
 
 
 def test_brute_two_group_shapes():
@@ -648,9 +679,11 @@ def test_semidirect_ceiling_trips_before_any_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an automorphism table was built")
 
+    N, Q = cn_table(3), cn_table(4)
+    monkeypatch.setattr(groups, "MAX_ELEMENTS", 10)
     monkeypatch.setattr(groups, "hom_from_generators", refuse)
     with pytest.raises(LimitExceeded, match="order 12 exceeds the element ceiling 10"):
-        semidirect_product(cn_table(3), cn_table(4), [[1]], limits=Limits(max_elements=10))
+        semidirect_product(N, Q, [[1]])
 
 
 def test_hom_extension_sign_map():
@@ -659,8 +692,8 @@ def test_hom_extension_sign_map():
     phi = hom_from_generators(G, [1, 1], C2.mul)  # both given generators are odd
     assert hom_defect(G, phi, C2.mul) is None
     assert sum(1 for v in phi if v == 0) == 12
-    bad = hom_from_generators(G, [1, 0], C2.mul)
-    assert hom_defect(G, bad, C2.mul) is not None
+    with pytest.raises(ValueError, match="breaks the homomorphism"):
+        hom_from_generators(G, [1, 0], C2.mul)
 
 
 def test_brute_oracles_agree_on_s3():
@@ -714,7 +747,6 @@ def _record_cases():
     check = FactorCheck(1, 3, 3, 1, (3,), True)
     # (class, fields in order, the defaulted tail left out, a changed copy)
     cases = [
-        (Limits, (10, 5, 7), (), Limits(10, 5, 8)),
         (FactorCheck, (1, 3, 3, 1, (3,), True), (), FactorCheck(1, 3, 3, 1, (3,), False)),
         (PiWitness, (G, H, [T, H], [check]), (), PiWitness(G, T, [T, H], [check])),
         (PiRefusal, (G, H, [(T, [check])]), (), PiRefusal(G, H, [])),
@@ -725,7 +757,7 @@ def _record_cases():
     return {case[0].__name__: case for case in cases}
 
 
-@pytest.mark.parametrize("name", ["Limits", "FactorCheck", "PiWitness", "PiRefusal",
+@pytest.mark.parametrize("name", ["FactorCheck", "PiWitness", "PiRefusal",
                                   "ChiefSeries", "UpperPSeries", "TheoremReport"])
 def test_records_compare_hash_and_print_by_value(name):
     cls, values, tail, other = _record_cases()[name]
@@ -739,13 +771,11 @@ def test_records_compare_hash_and_print_by_value(name):
         head = values[: -len(tail)]
         short = (cls(*head), cls(**dict(zip(fields, head))))
         assert all([getattr(x, f) for f in fields] == [*head, *tail] for x in short)
-    if cls is Limits:
-        assert Limits() == Limits(1_000_000, 4096, 256) == Limits(max_degree=4096)
     shown = repr(a)
     assert shown.startswith(f"{cls.__name__}(")
     for f, v in by_name.items():
         assert (f"{f}={v!r}" in shown) == (cls is not PiRefusal or f != "blocked")
-    if cls in (Limits, FactorCheck):
+    if cls is FactorCheck:
         assert hash(a) == hash(b) and len({a, b, other}) == 2
         with pytest.raises(AttributeError):
             setattr(a, fields[0], values[0])
