@@ -1,7 +1,8 @@
 """Group handles with a uniform integer-id face.
 
 Two backends exist: permutation groups (generators given as `Perm`s, order
-decided by a stabilizer chain, elements enumerated lazily) and table groups
+decided by a stabilizer chain, elements enumerated lazily and held as
+`bytes` of images up to degree 256, as tuples above it) and table groups
 (an order and product and inverse functions on ids).  Table groups serve
 re-rooted subgroups, hand-built groups, semidirect products (a direct
 product has trivial action rows) and quotients, which only tests form.
@@ -16,7 +17,11 @@ permutation group's degree when the handle is made, and `MAX_ELEMENTS`
 bounds a permutation group's order (the stabilizer chain refuses it
 before anything is enumerated), a table group's order when the handle is
 made, and a semidirect product's order before its automorphism tables
-are built.  The subgroup scan bound sits beside `sylow.all_subgroups`.
+are built.  It also sets a permutation group's storage budget, the
+MAX_ELEMENTS * 256 bytes that that many elements of degree 256 take: its
+order times its degree, at one byte a point as `bytes` and eight as a
+tuple, must fit before it is enumerated.  The subgroup scan bound sits
+beside `sylow.all_subgroups`.
 
 The orbit kernels read id tables built once per group and kept in `G.memo`,
 not products of single elements, and read a whole set through a table at
@@ -25,8 +30,8 @@ the first table is made of products; the others are lookups into it:
 
 - `right_tables`: one table x -> x g per reduced generator g, n ids each,
   at n products per generator; a `PermGroup` reads them off its
-  enumeration, which already multiplied every id by every generator, at
-  no products;
+  enumeration, which already composed every element with every
+  generator (one `bytes.translate` each), at no products;
 - `translation_tables`: one table x -> g^-1 x per reduced generator g,
   read as (x^-1 g)^-1 off the right tables and the inverses;
 - `conjugation_tables`: one table x -> g^-1 x g per reduced generator g,
@@ -108,8 +113,10 @@ MAX_DEGREE = 4096  # the degree of every permutation group
 
 class LimitExceeded(RuntimeError):
     """The computation would overrun a desk-scale ceiling: `MAX_ELEMENTS`
-    or `MAX_DEGREE` here, or `sylow.SUBGROUP_SCAN_BOUND`.  Each is checked
-    before the memory it guards is allocated."""
+    or `MAX_DEGREE` here, the storage budget a permutation group's
+    elements must fit (MAX_ELEMENTS elements of degree 256, as bytes), or
+    `sylow.SUBGROUP_SCAN_BOUND`.  Each is checked before the memory it
+    guards is allocated."""
 
 
 def memo(fn):
@@ -578,7 +585,16 @@ class Subgroup:
 
 
 class PermGroup(FiniteGroup):
-    """Group generated by permutations; order comes from a stabilizer chain."""
+    """Group generated by permutations; order comes from a stabilizer chain.
+
+    The enumeration holds each element as its images.  Up to degree 256
+    they are `bytes`, one byte a point: a * b is a.translate(b + pad),
+    where pad fixes the points from the degree to 255, and the inverse of
+    a is bytes.maketrans(a, identity) cut to the degree, one C call each.
+    `translate` reads points as byte values, so a wider group holds tuples,
+    composed by `itemgetter` and inverted point by point; the handle picks
+    its path once, from its degree.  Callers see only ids and `Perm`s.
+    """
 
     def __init__(
         self,
@@ -601,12 +617,15 @@ class PermGroup(FiniteGroup):
         if degree > MAX_DEGREE:
             raise LimitExceeded(f"degree {degree} exceeds the ceiling {MAX_DEGREE}")
         self.degree = degree
-        if degree < 2:  # itemgetter needs an index, and returns a scalar for one
-            self.mul = lambda a, b: self._ids[tuple(self._els[b][x] for x in self._els[a])]
+        self._small = degree <= 256  # `translate` reads each point as a byte value
+        self._element = bytes if self._small else tuple
+        if not self._small:
+            self.mul = self._mul_tuples
+        self._pad = bytes(range(degree, 256))  # fixes the points past the degree
         self._given = [g for g in dict.fromkeys(gens) if not g.is_identity()]
         self._order: int | None = None
-        self._els: list[tuple[int, ...]] = []
-        self._ids: dict[tuple[int, ...], int] = {}
+        self._els: list = []  # each element's images, as `bytes` or a tuple
+        self._ids: dict = {}
         self._inv_arr: list[int] = []
         self._right: dict[int, tuple[int, ...]] = {}
 
@@ -625,16 +644,24 @@ class PermGroup(FiniteGroup):
 
     def _build(self) -> None:
         order = self.order()  # refuses a group past the ceiling before enumerating it
-        ident = tuple(range(self.degree))
+        d = self.degree
+        need, budget = order * d * (1 if self._small else 8), MAX_ELEMENTS * 256
+        if need > budget:
+            raise LimitExceeded(
+                f"{order} elements of degree {d} take {need} bytes, past the storage "
+                f"budget of {budget} ({MAX_ELEMENTS} elements of degree 256)"
+            )
+        ident = self._element(range(d))
         els = [ident]
         ids = {ident: 0}
-        gens = [g.images for g in self._given]
+        gens = [self._element(g.images) for g in self._given]
         # Breadth first: ids are handed out in the order the walk meets the
         # elements, and the walk takes them in id order, so each generator's
-        # row collects its right table.
-        rows: list[tuple[tuple[int, ...], list[int]]] = [(g, []) for g in gens]
-        for a in els if gens else ():  # grows while it is walked; itemgetter(*()) fails
-            step = itemgetter(*a)
+        # row collects its right table.  a.translate(g + pad) and
+        # itemgetter(*a)(g) are both a * g, in one C call.
+        rows = [(g + self._pad if self._small else g, []) for g in gens]
+        for a in els:  # grows while it is walked
+            step = a.translate if self._small else itemgetter(*a)
             for g, row in rows:
                 b = step(g)
                 got = ids.setdefault(b, len(els))
@@ -648,17 +675,26 @@ class PermGroup(FiniteGroup):
             raise RuntimeError(
                 f"enumeration found {self._n} elements but the stabilizer chain says {order}"
             )
-        inv = []
-        for img in els:
-            out = [0] * self.degree
-            for i, v in enumerate(img):
-                out[v] = i
-            inv.append(ids[tuple(out)])
-        self._inv_arr = inv
+        if self._small:
+            # maketrans(a, identity) maps each a[i] to i: the inverse, padded to 256.
+            self._inv_arr = [ids[bytes.maketrans(a, ident)[:d]] for a in els]
+        else:
+            inv = []
+            for img in els:
+                out = [0] * d
+                for i, v in enumerate(img):
+                    out[v] = i
+                inv.append(ids[tuple(out)])
+            self._inv_arr = inv
         self._gen_ids = [ids[g] for g in gens]
-        self._right = {ids[g]: tuple(row) for g, row in rows}
+        self._right = {ids[g]: tuple(row) for g, (_, row) in zip(gens, rows)}
 
     def mul(self, a: int, b: int) -> int:
+        # One C call: a.translate(b + pad) is the bytes (b[a[0]], b[a[1]], ...).
+        els = self._els
+        return self._ids[els[a].translate(els[b] + self._pad)]
+
+    def _mul_tuples(self, a: int, b: int) -> int:
         # One C call: itemgetter(*a)(b) is the tuple (b[a[0]], b[a[1]], ...).
         els = self._els
         return self._ids[itemgetter(*els[a])(els[b])]
@@ -693,7 +729,7 @@ class PermGroup(FiniteGroup):
 
     def id_of_perm(self, p: Perm) -> int:
         self.materialize()
-        got = self._ids.get(p.images)
+        got = self._ids.get(self._element(p.images)) if p.degree == self.degree else None
         if got is None:
             raise ValueError(f"{p!r} is not an element of {self!r}")
         return got
@@ -784,16 +820,6 @@ def hom_from_generators(G: FiniteGroup, gen_images: list[int], target_mul, targe
     if len(walk) != G.n:
         raise ValueError("stored generators do not generate the group")
     return phi
-
-
-def hom_defect(G: FiniteGroup, phi, target_mul) -> tuple[int, int] | None:
-    """First (element, generator) pair violating phi(e*g) == phi(e)*phi(g), if any."""
-    for e in range(G.n):
-        pe = phi[e]
-        for g in G.generator_ids:
-            if phi[G.mul(e, g)] != target_mul(pe, phi[g]):
-                return (e, g)
-    return None
 
 
 # -- semidirect products -------------------------------------------------------------

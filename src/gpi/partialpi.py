@@ -42,10 +42,6 @@ class FactorCheck(FrozenRecord):
                  pi: tuple[int, ...], passed: bool):
         self._fix(k_order, m_order, meet_order, index, pi, passed)
 
-    @property
-    def vacuous(self) -> bool:
-        return self.meet_order == self.k_order
-
     def to_json(self) -> dict:
         return {
             "k": self.k_order,

@@ -17,6 +17,22 @@ from gpi.structure import element_power, frattini_subgroup_of_p_subgroup, normal
 from gpi.sylow import _frattini_cosets
 
 
+def hom_defect(G: FiniteGroup, phi, target_mul) -> tuple[int, int] | None:
+    """First (element, generator) pair violating phi(e*g) == phi(e)*phi(g), if any."""
+    for e in range(G.n):
+        pe = phi[e]
+        for g in G.generator_ids:
+            if phi[G.mul(e, g)] != target_mul(pe, phi[g]):
+                return (e, g)
+    return None
+
+
+def vacuous(check) -> bool:
+    """Whether a factor check's meet is K itself, so that it passes with an
+    empty pi."""
+    return check.meet_order == check.k_order
+
+
 def brute_closure(G: FiniteGroup, seeds) -> frozenset:
     """Close under pairwise products until stable."""
     els = set(seeds) | {0}

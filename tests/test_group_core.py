@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import sys
@@ -16,7 +17,6 @@ from gpi.groups import (
     Subgroup,
     TableGroup,
     closure_ids,
-    hom_defect,
     hom_from_generators,
     is_normal,
     product_ids,
@@ -32,6 +32,8 @@ from gpi.sylow import (
     is_quaternion_free,
     maximal_subgroups_of_p_group,
     sylow_subgroup,
+    two_maximal_subgroups_of_p_group,
+    two_minimal_subgroups,
 )
 
 from gpi.verify import TheoremReport
@@ -45,6 +47,7 @@ from oracles import (
     brute_span,
     brute_two_group_shape,
     generator_tables_by_products,
+    hom_defect,
     left_cosets_by_scan,
 )
 
@@ -207,6 +210,56 @@ def test_mul_inv_at_degrees_one_and_two():
     G = PermGroup([cyc(2, [(0, 1)])])
     t = G.id_of_perm(cyc(2, [(0, 1)]))
     assert G.n == 2 and G.mul(t, t) == 0 and G.mul(0, t) == G.mul(t, 0) == G.inv(t) == t
+
+
+def _dihedral(m):
+    """The symmetries of a regular m-gon, on its m corners."""
+    return PermGroup([cyc(m, [tuple(range(m))]), Perm([(-i) % m for i in range(m)])])
+
+
+@pytest.mark.parametrize("m", [256, 300])
+def test_bytes_and_tuple_elements_match_permutation_arithmetic(m):
+    # Degree 256 is the widest a handle keeps as bytes (`translate` reads
+    # points as byte values); degree 300 keeps tuples.  Both hand out ids
+    # and Perms.
+    G = _dihedral(m).materialize()
+    assert G.n == 2 * m
+    assert type(G._els[0]) is (bytes if m == 256 else tuple)
+    rng = random.Random(m)
+    for _ in range(100):
+        a, b = rng.randrange(G.n), rng.randrange(G.n)
+        pa, pb = G.perm(a), G.perm(b)
+        assert G.perm(G.mul(a, b)) == pa * pb
+        assert G.perm(G.inv(a)) == pa.inverse()
+        assert G.id_of_perm(pa * pb) == G.mul(a, b)
+    with pytest.raises(ValueError, match="is not an element"):
+        G.id_of_perm(Perm.identity(m + 1))
+
+
+def test_storage_budget_refuses_before_enumerating(monkeypatch, capsys):
+    # One generator with cycles of lengths 7, 11, 13, 17 and 19 on 4,096
+    # points has order 323,323, under the element ceiling; held as tuples
+    # its elements would take 8 bytes a point, about 10.6 GB, far past what
+    # MAX_ELEMENTS elements of degree 256 take as bytes.  The tuple walk
+    # composes through `itemgetter`, so refusing it makes a missing budget
+    # check fail here instead of allocating.
+    def refuse(*args):
+        raise AssertionError("enumerated past the storage budget")
+
+    monkeypatch.setattr(groups, "itemgetter", refuse)
+    cycles, start = [], 0
+    for k in (7, 11, 13, 17, 19):
+        cycles.append(list(range(start, start + k)))
+        start += k
+    desc = {"type": "perm", "degree": 4096, "generators": [cycles]}
+    G = from_description(desc)
+    assert G.order() == 323_323 <= groups.MAX_ELEMENTS
+    assert 323_323 * 4096 * 8 > groups.MAX_ELEMENTS * 256
+    with pytest.raises(LimitExceeded, match="storage budget of 256000000"):
+        G.materialize()
+    assert G._n is None and G._els == []
+    assert main(["info", json.dumps(desc)]) == 2
+    assert "past the storage budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", [n for n in group_names()
@@ -937,3 +990,68 @@ def test_backends_agree_under_isomorphism(name, ways):
                 continue
             blocked = {frozenset(phi[a] for a in S.ids): Counter(cs) for S, cs in v.blocked}
             assert {S.ids: Counter(cs) for S, cs in got.blocked} == blocked, (name, X, H)
+
+
+def _population(G, two_maximal):
+    """Every cyclic subgroup, each Sylow subgroup and its 2-minimal family
+    (and its 2-maximal family when asked), deduplicated by id-set: the
+    verdict populations of the benchmark."""
+    pop = {}
+    for k in sorted({G.element_order(a) for a in range(G.n)}):
+        for H in cyclic_subgroups_of_order(G, k):
+            pop.setdefault(H.ids, H)
+    for p in factorize(G.n):
+        P = sylow_subgroup(G, p)
+        family = two_minimal_subgroups(P, p)
+        if two_maximal:
+            family += two_maximal_subgroups_of_p_group(P)
+        for H in [P] + family:
+            pop.setdefault(H.ids, H)
+    return list(pop.values())
+
+
+def _relabelled(G, seed):
+    """G as a table group whose ids are G's moved by a seeded random
+    permutation fixing 0, with the maps G -> X and X -> G."""
+    rest = list(range(1, G.n))
+    random.Random(seed).shuffle(rest)
+    to = [0] + rest
+    back = [0] * G.n
+    for a, x in enumerate(to):
+        back[x] = a
+    gmul, ginv = G.mul, G.inv
+    X = TableGroup(G.n, lambda a, b: to[gmul(back[a], back[b])], lambda a: to[ginv(back[a])],
+                   gens=[to[g] for g in G.generator_ids])
+    return X, to, back
+
+
+def _carried(v, X, phi, Hx):
+    """Witness v carried to X by the id map phi: its terms mapped, its checks kept."""
+    terms = [Subgroup(X, {phi[a] for a in T.ids}) for T in v.terms]
+    return PiWitness(X, Hx, terms, v.checks)
+
+
+@pytest.mark.parametrize("name,two_maximal,size", [("S7", True, 2054), ("5^4:3", False, 1589)])
+def test_backends_agree_on_relabelled_benchmark_populations(name, two_maximal, size):
+    # S7 (permutation backend) and 5^4:3 (a semidirect product), each against
+    # itself relabelled as a table group: every member of the benchmark's
+    # population gets the same verdict, a refusal blocks the same states with
+    # the same checks, and each side's witness, carried to the other, passes
+    # there with the same checks.  Witnesses are replayed, not compared: the
+    # search takes chief steps in id order, so on 5^4:3 (26 minimal normal
+    # subgroups) the two sides may witness along different series.
+    G = _s7() if name == "S7" else build_group(name)
+    population = _population(G, two_maximal)
+    assert len(population) == size
+    X, to, back = _relabelled(G, 2026)
+    for H in population:
+        v = satisfies_partial_pi(G, H)
+        Hx = Subgroup(X, {to[h] for h in H.ids})
+        got = satisfies_partial_pi(X, Hx)
+        assert got.satisfied == v.satisfied, (name, H)
+        if v.satisfied:
+            assert _carried(v, X, to, Hx).verify(), (name, H)
+            assert _carried(got, G, back, H).verify(), (name, H)
+            continue
+        blocked = {frozenset(to[a] for a in S.ids): Counter(cs) for S, cs in v.blocked}
+        assert {S.ids: Counter(cs) for S, cs in got.blocked} == blocked, (name, H)
