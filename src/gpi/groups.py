@@ -4,8 +4,8 @@ Two backends exist: permutation groups (generators given as `Perm`s, order
 decided by a stabilizer chain, elements enumerated lazily and held as
 `bytes` of images up to degree 256, as tuples above it) and table groups
 (an order and product and inverse functions on ids).  Table groups serve
-re-rooted subgroups, hand-built groups, semidirect products (a direct
-product has trivial action rows) and quotients, which only tests form.
+hand-built groups, semidirect products (a direct product has trivial action
+rows), and quotients and re-rooted subgroups, which only tests form.
 Once materialised, every handle looks the same:
 elements are the ids 0..n-1 with 0 the identity, `mul`/`inv` work on ids,
 and a subgroup is a canonical frozen set of ids.  All structural algorithms
@@ -205,6 +205,7 @@ class FiniteGroup:
 
     @property
     def generator_ids(self) -> list[int]:
+        """The distinct non-identity generators given, in the order given."""
         self.materialize()
         assert self._gen_ids is not None
         return list(self._gen_ids)
@@ -245,7 +246,7 @@ class FiniteGroup:
     @memo
     def reduced_generator_ids(self) -> list[int]:
         """A greedily pruned generating subset; orbit loops run faster on it."""
-        keep = list(dict.fromkeys(g for g in self.generator_ids if g != 0))
+        keep = self.generator_ids
         for g in list(keep):
             if len(keep) == 1:
                 break
@@ -391,10 +392,11 @@ class FiniteGroup:
 
     @memo
     def full_subgroup(self) -> "Subgroup":
-        """The whole group, one handle per group; its id-set is copied from
-        a set, so its table is sized for n ids (one grown from a range
-        holds about twice the memory)."""
-        self.materialize()
+        """The whole group, one handle per group (the trivial one for a
+        trivial group); its id-set is copied from a set, so its table is
+        sized for n ids (one grown from a range holds about twice as much)."""
+        if self.n == 1:
+            return self.trivial_subgroup()
         return Subgroup(self, set(range(self.n)), gens=self.reduced_generator_ids())
 
     def generated(self, seed_ids) -> "Subgroup":
@@ -544,35 +546,13 @@ class Subgroup:
         if self.group is not other.group:
             raise ValueError("subgroups live in different ambient groups")
 
-    @memo
-    def as_group(self) -> tuple["TableGroup", dict[int, int]]:
-        """Re-root as a standalone group; also returns the ambient->new id map.
-
-        The new ids number the ambient ids in sorted order, and the new
-        handle computes through the ambient product, so the action is
-        faithful by construction regardless of backend.
-        """
-        amb = self.group
-        domain = sorted(self.ids)
-        to_new = {a: i for i, a in enumerate(domain)}
-        amul, ainv = amb.mul, amb.inv
-        sub = TableGroup(
-            len(domain),
-            lambda a, b: to_new[amul(domain[a], domain[b])],
-            lambda a: to_new[ainv(domain[a])],
-            gens=[to_new[g] for g in self.gens],
-            label_fn=lambda a: amb.label(domain[a]),
-            name=f"{amb.name}|{len(domain)}" if amb.name else f"sub{len(domain)}",
-        )
-        return sub, to_new
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subgroup) and self.group is other.group and self.ids == other.ids
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.ids))
+        return hash(self.ids)  # cached by the frozenset; `__eq__` checks the group
 
     def __repr__(self) -> str:
         gens = ", ".join(self.group.label(g) for g in self.gens[:4])
@@ -779,7 +759,7 @@ class TableGroup(FiniteGroup):
         for g in gens:
             if not isinstance(g, int) or not 0 <= g < n:
                 raise ValueError(f"generator {g!r} is not an id of the group")
-        self._gen_ids = gens
+        self._gen_ids = [g for g in dict.fromkeys(gens) if g != 0]
 
     def label(self, a: int) -> str:
         return repr(a) if self._label_fn is None else self._label_fn(a)
@@ -796,9 +776,8 @@ def hom_from_generators(G: FiniteGroup, gen_images: list[int], target_mul, targe
     order): each element's image is its parent's image times the image
     given for the generator that reached it.  The walk meets every
     (element, generator) pair once, and a pair whose product it has met
-    before is checked against the image given for that generator, so a
-    repeated generator's second image and an identity generator's image
-    are checked too.  Returns the full image list.
+    before is checked against the image given for that generator.
+    Returns the full image list.
     """
     gens = G.generator_ids
     if len(gen_images) != len(gens):
@@ -825,7 +804,7 @@ def hom_from_generators(G: FiniteGroup, gen_images: list[int], target_mul, targe
 # -- semidirect products -------------------------------------------------------------
 
 
-_KEPT = "a permutation group keeps the distinct non-identity ones"
+_KEPT = "every group keeps the distinct non-identity ones"
 
 
 def semidirect_product(N: FiniteGroup, Q: FiniteGroup, action, name="") -> TableGroup:
@@ -927,7 +906,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[TableGroup, tuple[int, ...]]:
         len(reps),
         lambda a, b: labels[gmul(reps[a], reps[b])],
         lambda a: labels[ginv(reps[a])],
-        gens=[c for c in dict.fromkeys(labels[g] for g in G.generator_ids) if c],
+        gens=[labels[g] for g in G.generator_ids],
         name=f"{G.name}/N{N.order}" if G.name else f"quotient{len(reps)}",
     )
     return quot, labels

@@ -1,15 +1,16 @@
 """Normal subgroup lattice, chief series, and the predicates built on them.
 
-The minimal normal overgroups of a normal subgroup (its chief steps, found
-from the principal normal closures, one per conjugacy class) are memoised on
-the group handle; they are the successor moves of every series walk in the
-package, the walk over the whole lattice included.  For normal N and P the
-join N v P is the product set NP, of order |N||P|/|N n P|, so the order of
-every candidate step is read off an id-set intersection before any product
-set is built, and the steps are found smallest first.  The characteristic
-subgroups read off the lattice (the hypercentre, the p-core, the
-terms of the upper p-series) are climbs along those chief steps (`climb`),
-with no quotient group formed.
+Each normal subgroup is one handle, a node of `node_table`, made when a walk
+first reaches it.  The minimal normal overgroups of a node (its chief steps,
+found from the principal normal closures, one per conjugacy class) are
+memoised on the group handle; they are the successor moves of every series
+walk in the package, the walk over the whole lattice included.  For normal
+N and P the join N v P is the product set NP, of order |N||P|/|N n P|, so
+the order of every candidate step is read off an id-set intersection before
+any product set is built, and the steps are found smallest first.  The
+characteristic subgroups read off the lattice (the hypercentre, the p-core,
+the terms of the upper p-series) are climbs along those chief steps
+(`climb`), with no quotient group formed.
 """
 
 from __future__ import annotations
@@ -54,10 +55,26 @@ def principal_normal_closures(G: FiniteGroup) -> list[Subgroup]:
                 if not H:
                     break
                 todo.extend(t[y] for t in tables)
-            P = Subgroup(G, H, gens=gens) if H else N
+            P = _node(G, H, gens) if H else N
         known[c] = P
         closing_to.setdefault(P, set()).update(members[c])
-    return sorted(closing_to, key=lambda S: (S.order, S.sorted_ids))
+    return sorted(closing_to, key=lambda S: node_table(G)[S.ids][0])
+
+
+@memo
+def node_table(G: FiniteGroup) -> dict[frozenset, tuple[tuple, Subgroup]]:
+    """Each normal subgroup reached so far, by id-set: its sort key (order,
+    sorted ids), fixed once, and its one handle; closures and joins look it up
+    (`_node`) before they build one.  It starts with the trivial and full
+    ones, each alone in its order, so keyed by order alone."""
+    return {S.ids: ((S.order,), S) for S in (G.trivial_subgroup(), G.full_subgroup())}
+
+
+def _node(G: FiniteGroup, ids: frozenset, gens: list[int]) -> Subgroup:
+    nodes = node_table(G)
+    if ids not in nodes:
+        nodes[ids] = ((len(ids), tuple(sorted(ids))), Subgroup(G, ids, gens=gens))
+    return nodes[ids][1]
 
 
 def _join_normal(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
@@ -66,14 +83,14 @@ def _join_normal(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
         return B
     if B.ids <= A.ids:
         return A
-    return Subgroup(G, product_ids(G, A.ids, B.ids), gens=A.gens + B.gens)
+    return _node(G, product_ids(G, A.ids, B.ids), A.gens + B.gens)
 
 
 @memo
 def minimal_normal_overgroups(G: FiniteGroup, N: Subgroup) -> tuple[Subgroup, ...]:
     """Normal subgroups M > N with nothing normal strictly between, ordered
-    by (order, sorted ids).  The tuple is the memo's own, handed out
-    uncopied, since every series walk only reads it.
+    by (order, sorted ids), as nodes.  The tuple is the memo's own, handed
+    out uncopied, since every series walk only reads it.
 
     Every normal overgroup of N contains the closure of one of its elements,
     so the inclusion-minimal joins N v P over principal closures P are exactly
@@ -96,22 +113,21 @@ def minimal_normal_overgroups(G: FiniteGroup, N: Subgroup) -> tuple[Subgroup, ..
         J = _join_normal(G, N, P)
         if not any(S.ids <= J.ids for S in out):
             out.append(J)
-    return tuple(sorted(out, key=lambda S: (S.order, S.sorted_ids)))
+    return tuple(sorted(out, key=lambda S: node_table(G)[S.ids][0]))
 
 
 @memo
 def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """The full normal subgroup lattice: the closure of {1} under chief
-    steps, since every normal subgroup lies on some chief series."""
-    triv = G.trivial_subgroup()
-    seen: dict[frozenset, Subgroup] = {triv.ids: triv}
-    todo = [triv]
-    for N in todo:  # grows while it is walked
-        for M in minimal_normal_overgroups(G, N):
-            if M.ids not in seen:
-                seen[M.ids] = M
-                todo.append(M)
-    return sorted(seen.values(), key=lambda S: (S.order, S.sorted_ids))
+    """The full normal subgroup lattice, read off the node table once
+    every node has been expanded: each node is normal and the trivial one
+    is among them, and every normal subgroup lies on some chief series."""
+    nodes = node_table(G)
+    expanded = 0
+    while expanded < len(nodes):
+        for _, N in list(nodes.values())[expanded:]:
+            minimal_normal_overgroups(G, N)
+            expanded += 1
+    return [S for _, S in sorted(nodes.values())]
 
 
 class ChiefSeries(Record):

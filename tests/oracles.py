@@ -11,10 +11,34 @@ from itertools import combinations, product
 from operator import mul
 
 from gpi.arith import factorize, p_part
-from gpi.groups import FiniteGroup, Subgroup, TableGroup, closure_ids
-from gpi.series import _join_normal, principal_normal_closures
+from gpi.groups import FiniteGroup, Subgroup, TableGroup, closure_ids, memo, product_ids
+from gpi.series import principal_normal_closures
 from gpi.structure import element_power, frattini_subgroup_of_p_subgroup, normal_closure
 from gpi.sylow import _frattini_cosets
+
+
+@memo
+def as_group(sub: Subgroup) -> tuple[TableGroup, dict[int, int]]:
+    """Re-root a subgroup as a standalone group; also returns the
+    ambient->new id map.
+
+    The new ids number the ambient ids in sorted order, and the new
+    handle computes through the ambient product, so the action is
+    faithful by construction regardless of backend.
+    """
+    amb = sub.group
+    domain = sorted(sub.ids)
+    to_new = {a: i for i, a in enumerate(domain)}
+    amul, ainv = amb.mul, amb.inv
+    rerooted = TableGroup(
+        len(domain),
+        lambda a, b: to_new[amul(domain[a], domain[b])],
+        lambda a: to_new[ainv(domain[a])],
+        gens=[to_new[g] for g in sub.gens],
+        label_fn=lambda a: amb.label(domain[a]),
+        name=f"{amb.name}|{len(domain)}" if amb.name else f"sub{len(domain)}",
+    )
+    return rerooted, to_new
 
 
 def hom_defect(G: FiniteGroup, phi, target_mul) -> tuple[int, int] | None:
@@ -390,14 +414,15 @@ def join_all_minimal_normal_overgroups(G: FiniteGroup, N: Subgroup) -> list[Subg
 
     Every normal overgroup of N contains the closure of one of its elements,
     so the inclusion-minimal joins N v P over principal closures P are exactly
-    the chief steps out of N.  Every join is built as a product set: the
-    package's earlier construction, kept as a reference.
+    the chief steps out of N.  Every join is built as a product set, on a
+    handle of its own: the package's earlier construction, kept as a
+    reference.
     """
     cand: dict[frozenset, Subgroup] = {}
     for P in principal_normal_closures(G):
         if P.ids <= N.ids:
             continue
-        J = _join_normal(G, N, P)
+        J = Subgroup(G, product_ids(G, N.ids, P.ids), gens=N.gens + P.gens)
         cand.setdefault(J.ids, J)
     out: list[Subgroup] = []
     for J in sorted(cand.values(), key=lambda S: (S.order, S.sorted_ids)):
@@ -456,7 +481,7 @@ def partial_pi_within(H: Subgroup, N: Subgroup):
     on N re-rooted as a group of its own."""
     from gpi.partialpi import satisfies_partial_pi
 
-    sub, to_new = N.as_group()
+    sub, to_new = as_group(N)
     return satisfies_partial_pi(sub, Subgroup(sub, [to_new[a] for a in H.ids]))
 
 
@@ -765,7 +790,7 @@ def is_factor_central_literal(
         raise ValueError("the pair is not a chief factor")
     C = brute_factor_centralizer(G, M, K)
     if K.is_trivial:
-        V, vmap = M.as_group()
+        V, vmap = as_group(M)
         back = sorted(M.ids)
 
         def to_v(a: int) -> int:
@@ -777,7 +802,7 @@ def is_factor_central_literal(
     else:
         Q1, pr1 = brute_quotient(G, K.ids)
         vsub = Subgroup(Q1, {pr1[m] for m in M.ids})
-        V, vmap = vsub.as_group()
+        V, vmap = as_group(vsub)
         back = sorted(vsub.ids)
 
         def to_v(a: int) -> int:

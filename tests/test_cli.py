@@ -290,20 +290,20 @@ def test_semidirect_description(capsys):
 
 
 def test_semidirect_count_errors_name_the_kept_generators(capsys):
-    # A permutation group keeps its distinct non-identity generators: a
-    # repeated quotient generator, or an identity one in the normal part,
-    # is dropped, and the error says how many were kept.
+    # Every group keeps its distinct non-identity generators: a repeated
+    # quotient generator, or an identity one in the normal part, is
+    # dropped, and the error says how many were kept.
     flip, turn = [[0, 1]], [[0, 1, 2]]
     cases = [
         ({"type": "perm", "degree": 3, "generators": [turn]},
          {"type": "perm", "degree": 2, "generators": [flip, flip]},
          [[[[0, 2, 1]]]] * 2,
          "need one action row per quotient generator: got 2 rows, and the quotient keeps 1 "
-         "of the generators given (a permutation group keeps the distinct non-identity ones)"),
+         "of the generators given (every group keeps the distinct non-identity ones)"),
         ({"type": "perm", "degree": 3, "generators": [turn, []]}, "C2",
          [[[[0, 2, 1]], []]],
          "action row 0 has 2 images, and the normal part keeps 1 of the generators given "
-         "(a permutation group keeps the distinct non-identity ones)"),
+         "(every group keeps the distinct non-identity ones)"),
     ]
     for normal, quotient, action, message in cases:
         desc = {"type": "semidirect", "normal": normal, "quotient": quotient, "action": action}

@@ -32,14 +32,13 @@ from gpi.sylow import (
     is_quaternion_free,
     maximal_subgroups_of_p_group,
     sylow_subgroup,
-    two_maximal_subgroups_of_p_group,
-    two_minimal_subgroups,
 )
 
 from gpi.verify import TheoremReport
 
 from affine import AFFINE, affine_description, affine_group
 from oracles import (
+    as_group,
     brute_center,
     brute_closure,
     brute_normalizer,
@@ -50,6 +49,7 @@ from oracles import (
     hom_defect,
     left_cosets_by_scan,
 )
+from populations import benchmark_population, s7
 
 cyc = Perm.from_cycles
 
@@ -82,11 +82,6 @@ def m16():
     r = cyc(8, [(0, 1, 2, 3, 4, 5, 6, 7)])
     s = cyc(8, [(1, 5), (3, 7)])
     return PermGroup([r, s], name="M16")
-
-
-def _s7():
-    return from_description({"type": "perm", "degree": 7,
-                             "generators": [[list(range(7))], [[0, 1]]]})
 
 
 def cn_table(m):
@@ -300,7 +295,7 @@ def test_element_orders_filled_by_power_walks_match_brute_orders(name):
 
     for ids in (range, lambda n: range(n - 1, -1, -1)):
         if name == "S7":
-            G = _s7()
+            G = s7()
         elif name in AFFINE:
             G = from_description(affine_description(*AFFINE[name]))
         else:
@@ -353,8 +348,8 @@ def test_conjugation_tables_match_conj():
     # Permutation groups, 5^4:3 on ids and a re-rooted (translated) subgroup.
     # The right tables come off the enumeration or from products; the
     # translation and conjugation tables are lookups into them.
-    rerooted, _ = sylow_subgroup(s4(), 2).as_group()
-    for G in (s4(), _s7(), build_group("5^4:3"), rerooted, affine_group("AGL(2,3)")):
+    rerooted, _ = as_group(sylow_subgroup(s4(), 2))
+    for G in (s4(), s7(), build_group("5^4:3"), rerooted, affine_group("AGL(2,3)")):
         want = generator_tables_by_products(G)
         assert (G.right_tables(), G.translation_tables(), G.conjugation_tables()) == want
         assert len(want[0]) == len(G.reduced_generator_ids()) > 0
@@ -365,7 +360,7 @@ def test_conjugation_tables_match_conj():
 def test_permutation_groups_make_no_products_for_tables_and_classes(monkeypatch):
     # The enumeration multiplied every id by every generator already; the
     # reduction, the tables, the classes and the coset numberings read it.
-    for G in (_s7(), from_description(affine_description(3, True))):
+    for G in (s7(), from_description(affine_description(3, True))):
         G.materialize()
         cyclic = G.generated(G.generator_ids[:1]).ids
         monkeypatch.setattr(G, "mul", lambda a, b: pytest.fail("a product was taken"))
@@ -379,7 +374,7 @@ def test_permutation_groups_make_no_products_for_tables_and_classes(monkeypatch)
 
 def test_coset_conjugation_tables_match_conj():
     # Each entry is the coset of g^-1 x g for the coset's representative x.
-    rerooted, _ = sylow_subgroup(s4(), 2).as_group()
+    rerooted, _ = as_group(sylow_subgroup(s4(), 2))
     for G in (s4(), build_group("5^4:3"), rerooted):
         gens = G.reduced_generator_ids()
         for N in normal_subgroups(G):
@@ -421,7 +416,7 @@ def _coset_probes(G):
 def test_left_cosets_equal_the_scan_reference():
     # The walk over translation tables numbers the cosets as a scan of G's
     # ids with n products does, for normal and non-normal subgroups alike.
-    rerooted, _ = normal_subgroups(build_group("S5"))[1].as_group()  # A5
+    rerooted, _ = as_group(normal_subgroups(build_group("S5"))[1])  # A5
     for G in (s4(), build_group("5^4:3"), rerooted, affine_group("AGL(2,3)")):
         probes = _coset_probes(G)
         assert any(not is_normal(G, Subgroup(G, ids)) for ids in probes)
@@ -518,7 +513,7 @@ def test_subgroup_as_group_rebases_product():
         [G.id_of_perm(cyc(4, [(0, 1, 2)])), G.id_of_perm(cyc(4, [(0, 1), (2, 3)]))]
     )
     assert a4.order == 12
-    sub, to_new = a4.as_group()
+    sub, to_new = as_group(a4)
     assert sub.n == 12 and set(to_new) == a4.ids
     back = {v: k for k, v in to_new.items()}
     rng = random.Random(3)
@@ -632,15 +627,29 @@ def test_semidirect_rejects_bad_actions():
         semidirect_product(C3, C2, [])
 
 
-@pytest.mark.parametrize("gens,row", [([1, 1], [4, 1]), ([1, 0], [4, 3])])
+@pytest.mark.parametrize("gens,row", [([1, 2], [4, 1]), ([1, 4], [4, 3])])
 def test_semidirect_checks_every_given_image(gens, row):
-    # C5 on a repeated generator, or with the identity among its
-    # generators: x -> 4x is an automorphism, but the second image
-    # contradicts it (1 -> 1 for the same generator, 0 -> 3 for the
-    # identity), so the row defines no endomorphism.
+    # C5 on two generators: each image alone extends to an automorphism
+    # (2 -> 1 is x -> 3x, 4 -> 3 is x -> 2x), but the first image, 1 -> 4,
+    # is x -> 4x and sends the second generator elsewhere (2 -> 3, 4 -> 1),
+    # so the row defines no endomorphism.
     C5 = TableGroup(5, lambda a, b: (a + b) % 5, lambda a: (-a) % 5, gens=gens)
     with pytest.raises(ValueError, match="action row 0 does not define an endomorphism"):
         semidirect_product(C5, cn_table(2), [row])
+
+
+def test_both_backends_keep_the_distinct_non_identity_generators():
+    # A repeated generator and the identity are dropped by a table group as
+    # by a permutation group, so one action image per kept generator builds
+    # the same dihedral group over either C5 (both number g^k as k).
+    table = TableGroup(5, lambda a, b: (a + b) % 5, lambda a: (-a) % 5, gens=[1, 1, 0])
+    turn = cyc(5, [(0, 1, 2, 3, 4)])
+    perm = PermGroup([turn, turn, cyc(5, [])])
+    assert table.generator_ids == perm.generator_ids == [1]
+    products = [semidirect_product(N, cn_table(2), [[4]]) for N in (table, perm)]
+    assert [X.generator_ids for X in products] == [[2, 1], [2, 1]]
+    assert all(products[0].mul(a, b) == products[1].mul(a, b)
+               for a in range(10) for b in range(10))
 
 
 def test_quotient_s4_by_klein():
@@ -992,24 +1001,6 @@ def test_backends_agree_under_isomorphism(name, ways):
             assert {S.ids: Counter(cs) for S, cs in got.blocked} == blocked, (name, X, H)
 
 
-def _population(G, two_maximal):
-    """Every cyclic subgroup, each Sylow subgroup and its 2-minimal family
-    (and its 2-maximal family when asked), deduplicated by id-set: the
-    verdict populations of the benchmark."""
-    pop = {}
-    for k in sorted({G.element_order(a) for a in range(G.n)}):
-        for H in cyclic_subgroups_of_order(G, k):
-            pop.setdefault(H.ids, H)
-    for p in factorize(G.n):
-        P = sylow_subgroup(G, p)
-        family = two_minimal_subgroups(P, p)
-        if two_maximal:
-            family += two_maximal_subgroups_of_p_group(P)
-        for H in [P] + family:
-            pop.setdefault(H.ids, H)
-    return list(pop.values())
-
-
 def _relabelled(G, seed):
     """G as a table group whose ids are G's moved by a seeded random
     permutation fixing 0, with the maps G -> X and X -> G."""
@@ -1040,8 +1031,8 @@ def test_backends_agree_on_relabelled_benchmark_populations(name, two_maximal, s
     # there with the same checks.  Witnesses are replayed, not compared: the
     # search takes chief steps in id order, so on 5^4:3 (26 minimal normal
     # subgroups) the two sides may witness along different series.
-    G = _s7() if name == "S7" else build_group(name)
-    population = _population(G, two_maximal)
+    G = s7() if name == "S7" else build_group(name)
+    population = benchmark_population(G, two_maximal)
     assert len(population) == size
     X, to, back = _relabelled(G, 2026)
     for H in population:

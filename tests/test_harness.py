@@ -13,7 +13,7 @@ from gpi.arith import p_part
 from gpi.catalog import build_group, corpus_names
 from gpi.cli import main
 from gpi.formations import f_hypercenter
-from gpi.groups import LimitExceeded, Subgroup, TableGroup
+from gpi.groups import LimitExceeded, TableGroup
 from gpi.series import (
     _core_steps,
     climb,
@@ -164,9 +164,10 @@ def test_run_corpus_zero_violations():
 
 
 def test_theorem_and_info_paths_form_no_quotient_group(monkeypatch, capsys):
-    # Every binding of the quotient constructor, and the re-rooting of a
-    # subgroup as a group, raise; fresh handles keep memoised results from
-    # hiding a call.  The corpus sweep and `gpi info` still succeed.
+    # Every binding of the quotient constructor, and the making of any
+    # table group (a quotient or a re-rooted subgroup is one), raise; fresh
+    # handles keep memoised results from hiding a call.  The corpus sweep
+    # and `gpi info` still succeed.
     def refuse(*args, **kwargs):
         raise AssertionError("a quotient group or a re-rooted subgroup was built")
 
@@ -174,7 +175,7 @@ def test_theorem_and_info_paths_form_no_quotient_group(monkeypatch, capsys):
     for name, mod in list(sys.modules.items()):
         if (name == "gpi" or name.startswith("gpi.")) and getattr(mod, "quotient", None) is original:
             monkeypatch.setattr(mod, "quotient", refuse)
-    monkeypatch.setattr(Subgroup, "as_group", refuse)
+    monkeypatch.setattr(groups.TableGroup, "__init__", refuse)
     monkeypatch.setattr(sys.modules["gpi.catalog"], "_BUILT", {})
     reports = run_corpus(names=["S4", "SL(2,3)", "GL(2,3)"])
     assert len(reports) == 3 * len(THEOREM_IDS) and all(r.ok for r in reports)

@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import math
 import random
+from operator import itemgetter
+
+import pytest
 
 from gpi.arith import is_pi_number, p_part, prime_set
 from gpi.catalog import build_group
@@ -21,6 +24,7 @@ from oracles import (
     partial_pi_within,
     witness_through,
 )
+from populations import benchmark_population, s7
 
 GROUPS = [
     "S3", "S4", "A4", "A5", "D8", "Q8", "D16", "SD16", "Q16",
@@ -142,16 +146,36 @@ def test_through_series_lemma():
     assert cases >= 100, cases
 
 
+def _verdicts_hold_under_conjugation(G, subgroups, conjugates) -> int:
+    """Check that each subgroup's verdict is that of each of its conjugates;
+    return how many conjugates were decided."""
+    cases = 0
+    for H in subgroups:
+        verdict = satisfies_partial_pi(G, H).satisfied
+        for Hg in conjugates(H):
+            assert satisfies_partial_pi(G, Hg).satisfied is verdict, (H, Hg)
+            cases += 1
+    return cases
+
+
 def test_conjugation_invariance():
     rng = random.Random(24)
     cases = 0
     for name in ["S4", "A5", "SL(2,3)", "D16", "C12", "Q16"]:
         G = build_group(name)
-        for H in _sample_subgroups(G, rng, want=10):
-            verdict = satisfies_partial_pi(G, H).satisfied
-            for _ in range(3):
-                g = rng.randrange(G.n)
-                Hg = G.generated([G.conj(x, g) for x in H.gens])
-                assert satisfies_partial_pi(G, Hg).satisfied is verdict
-                cases += 1
+        cases += _verdicts_hold_under_conjugation(
+            G, _sample_subgroups(G, rng, want=10),
+            lambda H: [G.generated([G.conj(x, g) for x in H.gens])
+                       for g in [rng.randrange(G.n) for _ in range(3)]])
     assert cases >= 100, cases
+
+
+@pytest.mark.parametrize("name,two_maximal,cases", [("S7", True, 4108), ("5^4:3", False, 4767)])
+def test_conjugation_invariance_on_the_benchmark_populations(name, two_maximal, cases):
+    # Every member of a benchmark population, conjugated by each reduced
+    # generator through its conjugation table (two on S7, three on 5^4:3).
+    G = s7() if name == "S7" else build_group(name)
+    tables = G.conjugation_tables()
+    assert _verdicts_hold_under_conjugation(
+        G, benchmark_population(G, two_maximal),
+        lambda H: [Subgroup(G, itemgetter(0, *H.ids)(t)) for t in tables]) == cases

@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from gpi import series
+from gpi import partialpi, series
 from gpi.arith import prime_set
 from gpi.catalog import build_group, from_description, group_names
 from gpi.groups import PermGroup, Subgroup, closure_ids, is_normal
@@ -19,6 +19,7 @@ from gpi.series import (
     is_soluble,
     is_supersoluble,
     minimal_normal_overgroups,
+    node_table,
     normal_subgroups,
     one_chief_series,
     p_core,
@@ -27,9 +28,12 @@ from gpi.series import (
     socle,
     upper_p_series,
 )
+from gpi.partialpi import satisfies_partial_pi
+from gpi.sylow import cyclic_subgroups_of_order, sylow_subgroup
 
 from affine import affine_description, affine_group
 from oracles import (
+    as_group,
     brute_closure,
     brute_conjugacy_classes,
     brute_hypercenter,
@@ -38,6 +42,7 @@ from oracles import (
     join_all_minimal_normal_overgroups,
     principal_normal_closures_from_scratch,
 )
+from populations import benchmark_population
 
 cyc = Perm.from_cycles
 
@@ -104,10 +109,13 @@ def test_validate_rejects_bad_series():
 
 
 def test_trivial_group_series():
-    triv, _ = build_group("C2").trivial_subgroup().as_group()
+    triv, _ = as_group(build_group("C2").trivial_subgroup())
     cs = one_chief_series(triv)
     cs.validate()
     assert len(cs) == 0 and cs.factor_orders() == []
+    # Its one normal subgroup is one node, whichever way it is asked for.
+    assert triv.full_subgroup() is triv.trivial_subgroup() is cs.terms[0]
+    assert normal_subgroups(triv) == [cs.terms[0]] and len(node_table(triv)) == 1
 
 
 @pytest.mark.parametrize(
@@ -283,8 +291,8 @@ def _brute_lattice(name):
 def test_chief_steps_match_the_join_all_reference(name):
     # The steps out of every normal N, found smallest join first, against
     # the earlier construction that builds every join N v P: the same
-    # id-sets in the same order, each with the same generators.  Both are
-    # also N's covers in the brute normal lattice.
+    # id-sets in the same order, each step a node whose generators generate
+    # it.  Both are also N's covers in the brute normal lattice.
     G = _group(name)
     lattice = _brute_lattice(name)
     normals = normal_subgroups(G)
@@ -292,7 +300,9 @@ def test_chief_steps_match_the_join_all_reference(name):
     for N in normals:
         steps = minimal_normal_overgroups(G, N)
         want = join_all_minimal_normal_overgroups(G, N)
-        assert [(M.ids, M.gens) for M in steps] == [(M.ids, M.gens) for M in want]
+        assert [M.ids for M in steps] == [M.ids for M in want]
+        assert all(node_table(G)[M.ids][1] is M for M in steps)
+        assert all(closure_ids(G, M.gens) == M.ids for M in steps)
         over = [M for M in lattice if N.ids < M]
         covers = [M for M in over if not any(W < M for W in over)]
         assert [M.ids for M in steps] == sorted(covers, key=lambda M: (len(M), sorted(M)))
@@ -360,6 +370,58 @@ def test_lattice_builds_few_product_sets(monkeypatch):
     G = build_group("5^4:3", fresh=True)
     assert len(normal_subgroups(G)) == 29
     assert len(calls) == 26
+
+
+def test_one_handle_per_normal_subgroup_across_a_population():
+    # Deciding the 1,589 subgroups of 5^4:3 in the benchmark's population
+    # reaches its order-625 term from 26 different terms; every series term
+    # and blocked state of that order is one object.  Every term is the
+    # lattice's own handle, and the node table then holds exactly the 29
+    # normal subgroups.
+    G = build_group("5^4:3", fresh=True)
+    verdicts = [satisfies_partial_pi(G, H) for H in benchmark_population(G, False)]
+    assert len(verdicts) == 1589 and sum(not v.satisfied for v in verdicts) == 156
+    terms = [T for v in verdicts for T in (v.terms if v.satisfied else [S for S, _ in v.blocked])]
+    assert len({id(T) for T in terms if T.order == 625}) == 1
+    lattice = {N.ids: N for N in normal_subgroups(G)}
+    assert len(lattice) == len(node_table(G)) == 29
+    assert all(lattice[T.ids] is T for T in terms)
+    assert all(node_table(G)[ids][1] is N for ids, N in lattice.items())
+    assert G.trivial_subgroup() is lattice[frozenset((0,))]
+    assert G.full_subgroup() is lattice[frozenset(range(G.n))]
+
+
+def test_nodes_are_made_only_as_the_search_reaches_them():
+    # (C2)^8 has 417,199 subspaces, all normal.  Witnessing <first generator>
+    # takes 8 steps; each expanded state makes its covers (255 lines, then
+    # 127, 63, ... planes and spaces over it), 503 nodes with the trivial one.
+    X = from_description({"type": "perm", "degree": 16,
+                          "generators": [[[2 * i, 2 * i + 1]] for i in range(8)]})
+    assert X.n == 256
+    assert satisfies_partial_pi(X, X.generated(X.generator_ids[:1])).satisfied
+    assert len(node_table(X)) < 1000
+
+
+def test_refusals_order_their_states_by_the_node_keys(monkeypatch):
+    # Each node's sort key, (order, sorted ids), is made once with the node.
+    # Once the nodes exist, a refusal sorts only its blocked states, once,
+    # by the key objects the node table holds, and no id-set is sorted.
+    G = build_group("5^4:3", fresh=True)
+    lines = cyclic_subgroups_of_order(sylow_subgroup(G, 5), 5)[:6]
+    satisfies_partial_pi(G, lines[0])
+    sorts, keys = [], []
+
+    def counted_sorted(items, key=None):
+        sorts.append(len(items))
+        keys.extend(map(key, items) if key else ())
+        return sorted(items, key=key)
+
+    for module in (partialpi, series):
+        monkeypatch.setattr(module, "sorted", counted_sorted, raising=False)
+    for line in lines[1:]:
+        assert not satisfies_partial_pi(G, line).satisfied
+    assert sorts == [26] * 5
+    assert {id(key) for key in keys} <= {id(key) for key, _ in node_table(G).values()}
 
 
 @pytest.mark.parametrize("name", [*group_names(), "ASL(2,3)", "AGL(2,3)"])

@@ -25,6 +25,7 @@ from gpi.sylow import (
 
 from affine import AFFINE, affine_group
 from oracles import (
+    as_group,
     brute_all_subgroups,
     brute_derived,
     brute_has_q8_section,
@@ -67,7 +68,7 @@ def test_sylow_shapes():
     s4 = build_group("S4")
     d8 = sylow_subgroup(s4, 2)
     assert brute_two_group_shape(s4, d8.ids) == "dihedral"
-    uv = sylow_subgroup(build_group("5^4:3"), 5).as_group()[0]
+    uv = as_group(sylow_subgroup(build_group("5^4:3"), 5))[0]
     assert uv.is_abelian() and {uv.element_order(a) for a in range(uv.n)} == {1, 5}
 
 
@@ -131,7 +132,7 @@ def test_two_minimal_against_brute():
         G = build_group(name)
         P = sylow_subgroup(G, p)
         got = {H.ids for H in two_minimal_subgroups(P, p)}
-        want = brute_subgroups_of_order(P.as_group()[0], p * p)
+        want = brute_subgroups_of_order(as_group(P)[0], p * p)
         back = sorted(P.ids)
         want = {frozenset(back[i] for i in ids) for ids in want}
         assert got == want, name
