@@ -16,11 +16,10 @@ conjugation tables of K (`G.coset_conjugation_tables`).  Over a trivial
 K the cosets are the ids themselves and the orbit runs on ids.
 
 The check depends on H only through that meet, and distinct subgroups
-often share one, so it is made once per group and query: a meet equal to
-K or M needs no orbit, and one table on the group holds every other check
-by (K's ids, M's ids, meet), filled the first time a query misses it.  A
-refusal must show every chain blocked, so it repeats the checks of many
-earlier verdicts; each costs one meet read-off and one lookup.
+often share one, so it is made once per group and query: K's node keeps,
+by M's id-set, the checks of a meet equal to K or M, which need no orbit,
+and a table of the others by meet.  A refusal repeats the checks of many
+earlier verdicts; each costs one meet read-off and two lookups by id-set.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from operator import itemgetter
 
 from .arith import is_pi_number, prime_set
 from .groups import FiniteGroup, FrozenRecord, Record, Subgroup, memo
-from .series import ChiefSeries, minimal_normal_overgroups, node_table
+from .series import ChiefSeries, minimal_normal_overgroups, node_of
 from .structure import normalizer_index
 
 
@@ -56,49 +55,38 @@ class FactorCheck(FrozenRecord):
 def factor_condition(G: FiniteGroup, H: Subgroup, K: Subgroup, M: Subgroup) -> FactorCheck:
     """Test the factor M/K against H on the K-cosets of G.
 
-    The meet (H meet M)K/K is read as the set of K-coset numbers that
-    H meet M hits, gathered from the coset labels by one `itemgetter`
-    call, so |meet| = cosets * |K| with no id-set of that size built, and
-    |K| and |M| are the sizes of their id-sets.  A meet equal to K or M is
-    normal and has index 1.  Any other check is made once per group and
-    query: it is stored in `G.memo["factor_condition"]` under (K's ids,
-    M's ids, meet), and a miss runs the meet's normalizer orbit in G/K
-    (`normalizer_index`).  Checks of equal value are one object
-    (`_factor_check`), so equal queries return the same `FactorCheck`.
-
-    The shortcuts stay outside the table: each would hash a freshly built
-    meet to look it up, and with them inside, the `verdicts-s7` benchmark
-    sweep was slower in three runs of three (0.434, 0.434, 0.405 s against
-    0.456, 0.446, 0.437 s).
+    K's node (`node_of`, so K must be normal) keeps for M's id-set: K's
+    coset labels (none when K is trivial), |K|, the checks of a meet equal
+    to K or M (normal, of index 1) by meet order, and a table of the other
+    checks by meet.  The meet (H meet M)K/K is the set of K-coset numbers
+    H meet M hits, gathered by one `itemgetter` call.  Only a table miss
+    runs the meet's normalizer orbit in G/K (`normalizer_index`).
     """
     if not (H.group is G and K.group is G and M.group is G):
         raise ValueError("subgroup belongs to a different group")
-    k_ids, m_ids = K.ids, M.ids
-    hm = H.ids & m_ids
-    if len(k_ids) == 1:
-        meet = hm
-    else:
-        # H meet M holds the identity, so asking for id 0 as well changes
-        # no set and keeps the gather a tuple when the meet is trivial.
-        meet = frozenset(itemgetter(0, *hm)(G.left_cosets(k_ids)[0]))
-    k, m = len(k_ids), len(m_ids)
-    meet_order = len(meet) * k
-    if meet_order == k or meet_order == m:
-        return _factor_check(G, k, m, meet_order, 1)
-    checks = G.memo.get("factor_condition")
-    if checks is None:
-        checks = G.memo["factor_condition"] = {}
-    query = (k_ids, m_ids, meet)
-    check = checks.get(query)
+    node = node_of(G, K)
+    edge = node.edges.get(M.ids)
+    if edge is None:
+        k, m = len(K.ids), len(M.ids)
+        labels = None if k == 1 else G.left_cosets(K.ids)[0]
+        shortcuts = {k: _factor_check(G, k, m, k, 1), m: _factor_check(G, k, m, m, 1)}
+        edge = node.edges[M.ids] = (labels, k, shortcuts, {})
+    labels, k, shortcuts, checks = edge
+    hm = H.ids & M.ids
+    # H meet M holds the identity, so asking for id 0 as well changes no
+    # set and keeps the gather a tuple when the meet is trivial.
+    meet = hm if labels is None else frozenset(itemgetter(0, *hm)(labels))
+    check = shortcuts.get(len(meet) * k) or checks.get(meet)
     if check is None:
-        index = normalizer_index(G, meet, modulus=None if k == 1 else k_ids)
-        check = checks[query] = _factor_check(G, k, m, meet_order, index)
+        index = normalizer_index(G, meet, modulus=None if labels is None else K.ids)
+        check = checks[meet] = _factor_check(G, k, len(M.ids), len(meet) * k, index)
     return check
 
 
 @memo
 def _factor_check(G: FiniteGroup, k: int, m: int, meet: int, index: int) -> FactorCheck:
-    """The check with these orders and index, made once per group and value."""
+    """The check with these orders and index, made once per group and value
+    when a step or a table entry is first made, so steps share equal checks."""
     pi = prime_set(meet // k)
     return FactorCheck(k, m, meet, index, pi, is_pi_number(index, pi))
 
@@ -117,21 +105,16 @@ class PiWitness(Record):
         return ChiefSeries(self.group, self.terms)
 
     def verify(self) -> bool:
-        """Revalidate the series and recompute every factor check; each
-        check is made once per group and query, so a replay on the deciding
-        handle reads the checks the search made."""
+        """Revalidate the series and recompute every factor check; a replay
+        on the deciding handle reads the steps and checks the search kept
+        on the nodes, and runs no normalizer orbit."""
         try:
             self.series().validate()
         except ValueError:
             return False
-        if len(self.checks) != len(self.terms) - 1:
-            return False
-        for K, M, want in zip(self.terms, self.terms[1:], self.checks):
-            if factor_condition(self.group, self.subgroup, K, M) != want:
-                return False
-            if not want.passed:
-                return False
-        return True
+        return len(self.checks) == len(self.terms) - 1 and all(
+            want.passed and factor_condition(self.group, self.subgroup, K, M) == want
+            for K, M, want in zip(self.terms, self.terms[1:], self.checks))
 
     def to_json(self) -> dict:
         return {
@@ -216,5 +199,4 @@ def satisfies_partial_pi(G: FiniteGroup, H: Subgroup):
     found = explore(trivial, [trivial], [])
     if found is not None:
         return found
-    nodes = node_table(G)
-    return PiRefusal(G, H, [dead[ids] for ids in sorted(dead, key=lambda ids: nodes[ids][0])])
+    return PiRefusal(G, H, sorted(dead.values(), key=lambda entry: node_of(G, entry[0]).key))

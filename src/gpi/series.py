@@ -1,22 +1,22 @@
 """Normal subgroup lattice, chief series, and the predicates built on them.
 
-Each normal subgroup is one handle, a node of `node_table`, made when a walk
-first reaches it.  The minimal normal overgroups of a node (its chief steps,
-found from the principal normal closures, one per conjugacy class) are
-memoised on the group handle; they are the successor moves of every series
-walk in the package, the walk over the whole lattice included.  For normal
-N and P the join N v P is the product set NP, of order |N||P|/|N n P|, so
-the order of every candidate step is read off an id-set intersection before
-any product set is built, and the steps are found smallest first.  The
-characteristic subgroups read off the lattice (the hypercentre, the p-core,
-the terms of the upper p-series) are climbs along those chief steps
-(`climb`), with no quotient group formed.
+Each normal subgroup is one handle and one record, a node of `node_table`,
+made when a walk first reaches it.  The record keeps the node's minimal
+normal overgroups (its chief steps, found from the principal normal
+closures, one per conjugacy class), the successor moves of every series walk
+in the package, the walk over the whole lattice included; walks find it by
+id-set, not by hashing a handle.  For normal N and P the join N v P is the
+product set NP, of order |N||P|/|N n P|, so the order of every candidate
+step is read off an id-set intersection before any product set is built, and
+the steps are found smallest first.  The characteristic subgroups read off
+the lattice (the hypercentre, the p-core, the terms of the upper p-series)
+are climbs along those chief steps (`climb`), with no quotient group formed.
 """
 
 from __future__ import annotations
 
 from .arith import factorize, is_prime, p_part
-from .groups import FiniteGroup, Record, Subgroup, closure_ids, memo, product_ids
+from .groups import FiniteGroup, Record, Subgroup, closure_ids, is_normal, memo, product_ids
 from .structure import element_power
 
 
@@ -55,26 +55,43 @@ def principal_normal_closures(G: FiniteGroup) -> list[Subgroup]:
                 if not H:
                     break
                 todo.extend(t[y] for t in tables)
-            P = _node(G, H, gens) if H else N
+            P = node_of(G, Subgroup(G, H, gens)).handle if H else N
         known[c] = P
         closing_to.setdefault(P, set()).update(members[c])
-    return sorted(closing_to, key=lambda S: node_table(G)[S.ids][0])
+    return sorted(closing_to, key=lambda S: node_of(G, S).key)
 
 
-@memo
-def node_table(G: FiniteGroup) -> dict[frozenset, tuple[tuple, Subgroup]]:
-    """Each normal subgroup reached so far, by id-set: its sort key (order,
-    sorted ids), fixed once, and its one handle; closures and joins look it up
-    (`_node`) before they build one.  It starts with the trivial and full
-    ones, each alone in its order, so keyed by order alone."""
-    return {S.ids: ((S.order,), S) for S in (G.trivial_subgroup(), G.full_subgroup())}
+class Node:
+    """A normal subgroup's sort key (order, sorted ids), its one handle, its chief
+    steps (None until expanded) and, by step id-set, `factor_condition`'s data."""
+
+    __slots__ = ("key", "handle", "steps", "edges")
+
+    def __init__(self, key: tuple, handle: Subgroup):
+        self.key, self.handle, self.steps, self.edges = key, handle, None, {}
 
 
-def _node(G: FiniteGroup, ids: frozenset, gens: list[int]) -> Subgroup:
-    nodes = node_table(G)
-    if ids not in nodes:
-        nodes[ids] = ((len(ids), tuple(sorted(ids))), Subgroup(G, ids, gens=gens))
-    return nodes[ids][1]
+def node_table(G: FiniteGroup) -> dict[frozenset, Node]:
+    """Each normal subgroup reached so far, by id-set, as its `Node`.  It starts
+    with the trivial and full ones, each alone in its order, so keyed by order."""
+    if "node_table" not in G.memo:
+        G.memo["node_table"] = {
+            S.ids: Node((S.order,), S) for S in (G.trivial_subgroup(), G.full_subgroup())}
+    return G.memo["node_table"]
+
+
+def node_of(G: FiniteGroup, S: Subgroup) -> Node:
+    """S's record, by its id-set.  A subgroup no walk has reached becomes a node,
+    S its handle, if normal; any other raises ValueError, interning nothing."""
+    try:
+        return G.memo["node_table"][S.ids]
+    except KeyError:
+        nodes = node_table(G)
+    if S.ids not in nodes:
+        if not is_normal(G, S):
+            raise ValueError(f"the subgroup of order {S.order} is not normal")
+        nodes[S.ids] = Node((len(S.ids), tuple(sorted(S.ids))), S)
+    return nodes[S.ids]
 
 
 def _join_normal(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
@@ -83,14 +100,13 @@ def _join_normal(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
         return B
     if B.ids <= A.ids:
         return A
-    return _node(G, product_ids(G, A.ids, B.ids), A.gens + B.gens)
+    return node_of(G, Subgroup(G, product_ids(G, A.ids, B.ids), A.gens + B.gens)).handle
 
 
-@memo
 def minimal_normal_overgroups(G: FiniteGroup, N: Subgroup) -> tuple[Subgroup, ...]:
     """Normal subgroups M > N with nothing normal strictly between, ordered
-    by (order, sorted ids), as nodes.  The tuple is the memo's own, handed
-    out uncopied, since every series walk only reads it.
+    by (order, sorted ids), as nodes, kept on N's record (`node_of`) and
+    handed out uncopied, since every series walk only reads them.
 
     Every normal overgroup of N contains the closure of one of its elements,
     so the inclusion-minimal joins N v P over principal closures P are exactly
@@ -104,7 +120,10 @@ def minimal_normal_overgroups(G: FiniteGroup, N: Subgroup) -> tuple[Subgroup, ..
     So each step is built once, from the first closure that reaches it,
     and no product set is formed for a closure that only reaches it again.
     """
-    n = N.order
+    node = node_of(G, N)
+    if node.steps is not None:
+        return node.steps
+    N, n = node.handle, len(N.ids)
     out: list[Subgroup] = []
     for P in sorted((P for P in principal_normal_closures(G) if not P.ids <= N.ids),
                     key=lambda P: n * P.order // len(N.ids & P.ids)):
@@ -113,7 +132,8 @@ def minimal_normal_overgroups(G: FiniteGroup, N: Subgroup) -> tuple[Subgroup, ..
         J = _join_normal(G, N, P)
         if not any(S.ids <= J.ids for S in out):
             out.append(J)
-    return tuple(sorted(out, key=lambda S: node_table(G)[S.ids][0]))
+    node.steps = tuple(sorted(out, key=lambda S: node_of(G, S).key))
+    return node.steps
 
 
 @memo
@@ -122,12 +142,10 @@ def normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     every node has been expanded: each node is normal and the trivial one
     is among them, and every normal subgroup lies on some chief series."""
     nodes = node_table(G)
-    expanded = 0
-    while expanded < len(nodes):
-        for _, N in list(nodes.values())[expanded:]:
+    while unexpanded := [node.handle for node in nodes.values() if node.steps is None]:
+        for N in unexpanded:
             minimal_normal_overgroups(G, N)
-            expanded += 1
-    return [S for _, S in sorted(nodes.values())]
+    return [node.handle for node in sorted(nodes.values(), key=lambda node: node.key)]
 
 
 class ChiefSeries(Record):

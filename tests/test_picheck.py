@@ -215,9 +215,22 @@ def test_normalizer_orbit_runs_once_per_query(monkeypatch):
         orbits.clear()
         asked[0] = 0
         G = build_group(name, fresh=True)
-        verdicts = [satisfies_partial_pi(G, H).to_json() for H in population(G)]
+        decided = [satisfies_partial_pi(G, H) for H in population(G)]
+        verdicts = [v.to_json() for v in decided]
         first = set(orbits)
         assert len(orbits) == len(first) < asked[0], name
+        # A replay reads the checks kept on the nodes: a witness verifies
+        # with no orbit run, and fresh handles of K and M find the very
+        # check object the search made, by id-set.
+        orbits.clear()
+        witnesses = [v for v in decided if v.satisfied]
+        assert witnesses and all(v.verify() for v in witnesses) and not orbits, name
+        for H, pairs in [(v.subgroup, zip(v.terms, v.terms[1:], v.checks)) for v in witnesses] + [
+                (v.subgroup, zip([K] * len(cs), minimal_normal_overgroups(G, K), cs))
+                for v in decided if not v.satisfied for K, cs in v.blocked]:
+            for K, M, fc in pairs:
+                assert factor_condition(G, H, Subgroup(G, K.ids), Subgroup(G, M.ids)) is fc
+        assert not orbits, name
         moduli |= {modulus for modulus, _ in first}
         orbits.clear()
         F = build_group(name, fresh=True)
@@ -241,6 +254,30 @@ def test_big_group_sample_verdicts():
     line = cyclic_subgroups_of_order(P, 5)[0]
     res = satisfies_partial_pi(G, line)
     assert not res.satisfied
+
+
+def test_warm_verdicts_hash_no_handle_but_the_verdict_key(monkeypatch):
+    # Each state's steps and each step's checks are found by id-set on the
+    # node records.  Once a line and a plane of 5^4:3 are decided, 20 more
+    # of each hash a handle only for the verdict memo's own key, once to
+    # look it up and once to store the verdict: at most 2 per verdict
+    # (a step memo keyed by the state handle made 28 per line, 5 per plane).
+    G = build_group("5^4:3", fresh=True)
+    P = sylow_subgroup(G, 5)
+    lines, planes = cyclic_subgroups_of_order(P, 5), two_minimal_subgroups(P, 5)
+    assert not satisfies_partial_pi(G, lines[0]).satisfied
+    assert satisfies_partial_pi(G, planes[0]).satisfied
+    hashes = [0]
+    plain = Subgroup.__hash__
+
+    def counted(self):
+        hashes[0] += 1
+        return plain(self)
+
+    monkeypatch.setattr(Subgroup, "__hash__", counted)
+    verdicts = [satisfies_partial_pi(G, H) for H in lines[1:21] + planes[1:21]]
+    assert [v.satisfied for v in verdicts] == [False] * 20 + [True] * 20
+    assert hashes[0] <= 2 * len(verdicts)
 
 
 def test_refusal_holds_the_handles_the_search_explored():

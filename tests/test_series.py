@@ -301,7 +301,7 @@ def test_chief_steps_match_the_join_all_reference(name):
         steps = minimal_normal_overgroups(G, N)
         want = join_all_minimal_normal_overgroups(G, N)
         assert [M.ids for M in steps] == [M.ids for M in want]
-        assert all(node_table(G)[M.ids][1] is M for M in steps)
+        assert all(node_table(G)[M.ids].handle is M for M in steps)
         assert all(closure_ids(G, M.gens) == M.ids for M in steps)
         over = [M for M in lattice if N.ids < M]
         covers = [M for M in over if not any(W < M for W in over)]
@@ -386,7 +386,7 @@ def test_one_handle_per_normal_subgroup_across_a_population():
     lattice = {N.ids: N for N in normal_subgroups(G)}
     assert len(lattice) == len(node_table(G)) == 29
     assert all(lattice[T.ids] is T for T in terms)
-    assert all(node_table(G)[ids][1] is N for ids, N in lattice.items())
+    assert all(node_table(G)[ids].handle is N for ids, N in lattice.items())
     assert G.trivial_subgroup() is lattice[frozenset((0,))]
     assert G.full_subgroup() is lattice[frozenset(range(G.n))]
 
@@ -421,7 +421,27 @@ def test_refusals_order_their_states_by_the_node_keys(monkeypatch):
     for line in lines[1:]:
         assert not satisfies_partial_pi(G, line).satisfied
     assert sorts == [26] * 5
-    assert {id(key) for key in keys} <= {id(key) for key, _ in node_table(G).values()}
+    assert {id(key) for key in keys} <= {id(node.key) for node in node_table(G).values()}
+
+
+def test_a_step_query_on_a_non_normal_subgroup_interns_nothing():
+    # Joined with the principal closures, a transposition of S4 gave an
+    # order-8 "step"; once interned it was listed in the lattice, which
+    # then read 1, 4, 8, 12, 24.
+    G = build_group("S4", fresh=True)
+    line = cyclic_subgroups_of_order(G, 2)[0]
+    assert not is_normal(G, line)
+    with pytest.raises(ValueError, match="not normal"):
+        minimal_normal_overgroups(G, line)
+    with pytest.raises(ValueError, match="not normal"):
+        partialpi.factor_condition(G, line, line, G.full_subgroup())
+    assert len(node_table(G)) == 2
+    assert [N.order for N in normal_subgroups(G)] == [1, 4, 12, 24]
+    # A normal subgroup no walk has reached is made a node, as it is.
+    F = build_group("S4", fresh=True)
+    v4 = Subgroup(F, normal_subgroups(G)[1].ids)
+    assert [M.order for M in minimal_normal_overgroups(F, v4)] == [12]
+    assert node_table(F)[v4.ids].handle is v4
 
 
 @pytest.mark.parametrize("name", [*group_names(), "ASL(2,3)", "AGL(2,3)"])
